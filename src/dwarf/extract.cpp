@@ -10,9 +10,15 @@ namespace pd::dwarf {
 
 namespace {
 
+/// Most DW_AT_type links a walk follows from a field's type. Declarator
+/// chains in real C stay within a handful of links (typedefs, qualifiers,
+/// pointers, array dimensions); a longer one can only be a cycle in
+/// malformed debug info, and the walks below treat it as malformed.
+constexpr int kMaxTypeDepth = 64;
+
 /// sizeof() a type DIE; 0 when unknown (malformed info).
-std::uint64_t type_size(const DebugInfoView& view, const Die* type) {
-  if (type == nullptr) return 0;
+std::uint64_t type_size(const DebugInfoView& view, const Die* type, int depth = 0) {
+  if (type == nullptr || depth > kMaxTypeDepth) return 0;
   switch (type->tag) {
     case DW_TAG_base_type:
     case DW_TAG_enumeration_type:
@@ -24,13 +30,15 @@ std::uint64_t type_size(const DebugInfoView& view, const Die* type) {
     case DW_TAG_typedef:
     case DW_TAG_const_type:
     case DW_TAG_volatile_type:
-      return type_size(view, view.type_of(*type));
+      return type_size(view, view.type_of(*type), depth + 1);
     case DW_TAG_array_type: {
-      // Multi-dimensional arrays carry one subrange per dimension.
-      std::uint64_t total = type_size(view, view.type_of(*type));
+      // Multi-dimensional arrays carry one subrange per dimension. A size
+      // that does not fit 64 bits is malformed.
+      std::uint64_t total = type_size(view, view.type_of(*type), depth + 1);
       for (const auto& child : type->children) {
-        if (child->tag == DW_TAG_subrange_type)
-          total *= child->unsigned_attr(DW_AT_count).value_or(0);
+        if (child->tag == DW_TAG_subrange_type &&
+            __builtin_mul_overflow(total, child->unsigned_attr(DW_AT_count).value_or(0), &total))
+          return 0;
       }
       return total;
     }
@@ -42,8 +50,9 @@ std::uint64_t type_size(const DebugInfoView& view, const Die* type) {
 /// Build the C declaration "type name" for a field, handling the pointer
 /// and array declarator syntax. Returns empty string when the type graph is
 /// not printable (treated as malformed).
-std::string format_decl(const DebugInfoView& view, const Die* type, const std::string& varname) {
-  if (type == nullptr) return "";
+std::string format_decl(const DebugInfoView& view, const Die* type, const std::string& varname,
+                        int depth = 0) {
+  if (type == nullptr || depth > kMaxTypeDepth) return "";
   switch (type->tag) {
     case DW_TAG_base_type:
     case DW_TAG_typedef: {
@@ -69,7 +78,7 @@ std::string format_decl(const DebugInfoView& view, const Die* type, const std::s
     case DW_TAG_pointer_type: {
       const Die* pointee = view.type_of(*type);
       if (pointee == nullptr) return "void *" + varname;
-      return format_decl(view, pointee, "*" + varname);
+      return format_decl(view, pointee, "*" + varname, depth + 1);
     }
     case DW_TAG_array_type: {
       const Die* elem = view.type_of(*type);
@@ -78,16 +87,16 @@ std::string format_decl(const DebugInfoView& view, const Die* type, const std::s
         if (child->tag == DW_TAG_subrange_type)
           decl += "[" + std::to_string(child->unsigned_attr(DW_AT_count).value_or(0)) + "]";
       }
-      return format_decl(view, elem, decl);
+      return format_decl(view, elem, decl, depth + 1);
     }
     case DW_TAG_const_type: {
       const Die* inner = view.type_of(*type);
-      const std::string d = format_decl(view, inner, varname);
+      const std::string d = format_decl(view, inner, varname, depth + 1);
       return d.empty() ? d : "const " + d;
     }
     case DW_TAG_volatile_type: {
       const Die* inner = view.type_of(*type);
-      const std::string d = format_decl(view, inner, varname);
+      const std::string d = format_decl(view, inner, varname, depth + 1);
       return d.empty() ? d : "volatile " + d;
     }
     default:
@@ -98,8 +107,8 @@ std::string format_decl(const DebugInfoView& view, const Die* type, const std::s
 /// Collect auxiliary declarations (enums, opaque structs/unions) that the
 /// extracted field types reference so the generated header is standalone.
 void collect_aux_decls(const DebugInfoView& view, const Die* type,
-                       std::set<std::string>& emitted, std::ostringstream& out) {
-  if (type == nullptr) return;
+                       std::set<std::string>& emitted, std::ostringstream& out, int depth = 0) {
+  if (type == nullptr || depth > kMaxTypeDepth) return;
   switch (type->tag) {
     case DW_TAG_enumeration_type: {
       auto n = type->name();
@@ -131,7 +140,7 @@ void collect_aux_decls(const DebugInfoView& view, const Die* type,
     case DW_TAG_typedef:
     case DW_TAG_const_type:
     case DW_TAG_volatile_type:
-      collect_aux_decls(view, view.type_of(*type), emitted, out);
+      collect_aux_decls(view, view.type_of(*type), emitted, out, depth + 1);
       return;
     default:
       return;
@@ -185,7 +194,8 @@ Result<StructLayout> extract_struct(const DebugInfoView& view, const std::string
     const std::uint64_t size = type_size(view, type);
     std::string decl = format_decl(view, type, field);
     if (size == 0 || decl.empty()) return Errno::einval;
-    if (*offset + size > layout.byte_size) return Errno::einval;
+    // Written so that no sum can wrap: the field must lie inside the struct.
+    if (size > layout.byte_size || *offset > layout.byte_size - size) return Errno::einval;
     FieldLayout fl{field, *offset, size, std::move(decl), 0, 0};
     if (auto bits = member->unsigned_attr(DW_AT_bit_size)) {
       fl.bit_size = static_cast<std::uint32_t>(*bits);

@@ -194,6 +194,43 @@ TEST(Extract, MissingStructOrFieldFails) {
   EXPECT_EQ(extract_struct(*view, "sdma_state", {"no_such_field"}).error(), Errno::enoent);
 }
 
+// Debug info comes from driver binaries the LWK does not control: malformed
+// type graphs must get EINVAL from both extraction entry points, and in
+// bounded time (a hang fails this binary by its ctest timeout).
+void expect_einval(const InfoBuilder& b, const std::string& struct_name,
+                   const std::string& field) {
+  const DebugInfo dbg = b.build("p", "m");
+  auto view = DebugInfoView::parse(dbg.abbrev, dbg.info);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(extract_struct(*view, struct_name, {field}).error(), Errno::einval);
+  EXPECT_EQ(extract_struct_header(*view, struct_name, {field}).error(), Errno::einval);
+}
+
+TEST(ExtractMalformed, TypedefCycleIsRejected) {
+  // Node 1 is the typedef itself: its DW_AT_type points back at it.
+  InfoBuilder b;
+  const TypeRef loop = b.add_typedef("loop_t", TypeRef{1});
+  b.add_struct("cyclic", 16, {{"x", loop, 0}});
+  expect_einval(b, "cyclic", "x");
+}
+
+TEST(ExtractMalformed, ArraySizeOverflowIsRejected) {
+  // (2^61 + 1) eight-byte elements: the byte count wraps 64 bits to 8.
+  InfoBuilder b;
+  const TypeRef u64 = b.add_base_type("long unsigned int", 8, DW_ATE_unsigned);
+  const TypeRef huge = b.add_array(u64, (std::uint64_t{1} << 61) + 1);
+  b.add_struct("wraps", 16, {{"arr", huge, 0}});
+  expect_einval(b, "wraps", "arr");
+}
+
+TEST(ExtractMalformed, FieldOffsetPastStructIsRejected) {
+  // Offset 2^64 - 2 plus a 4-byte field wraps to 2, inside the 16 bytes.
+  InfoBuilder b;
+  const TypeRef u32 = b.add_base_type("unsigned int", 4, DW_ATE_unsigned);
+  b.add_struct("far", 16, {{"x", u32, ~std::uint64_t{0} - 1}});
+  expect_einval(b, "far", "x");
+}
+
 // The paper's Listing 1, byte for byte in structure (modulo the paper's
 // truncated 3-field selection and its whole_struct convention).
 TEST(Extract, Listing1GoldenHeader) {
