@@ -1,5 +1,5 @@
-// Paper-scale DES engine benchmark (ISSUE 6): calendar-queue scheduler,
-// allocation-free event path, sharded per-node queues.
+// Paper-scale DES engine benchmark: calendar-queue scheduler and
+// allocation-free event path.
 //
 // Three sections:
 //   engine_loop — raw scheduler throughput: 64 self-rescheduling event
@@ -10,15 +10,13 @@
 //   pingpong    — the Figure-4 IMB ping-pong point at 4 MB on the full
 //                 stack, reporting simulated bandwidth (deterministic,
 //                 gated) and host events/sec (informational).
-//   sweep       — UMT weak scaling to >= 256 simulated nodes in three
-//                 drain modes: legacy single queue (host_workers=0),
-//                 sharded sequential rounds (=1) and sharded parallel
-//                 (=4). Sharded seq/par must be bit-identical (runtime and
-//                 event count). Legacy runs a slightly different network
-//                 arbitration (send-order ingress reservation vs the
-//                 sharded arrival-order grant — see Fabric::send), so its
-//                 simulated runtime only has to land in a sanity band of
-//                 the sharded result; both are individually deterministic.
+//   sweep       — UMT weak scaling to >= 256 simulated nodes on the
+//                 single event queue: simulated runtime (deterministic,
+//                 gated), host events/sec and engine-attributed host
+//                 allocations per event (<= 0.01 at the 256-node point).
+//                 The point's JSON key is `legacy`, and its runtime
+//                 `legacy_sim_runtime_sec`, so the committed baseline and
+//                 the nightly trend keep one series.
 //
 // Emits BENCH_sim_scale.json for tools/check_bench.py --suite sim_scale.
 #include <atomic>
@@ -194,22 +192,20 @@ PingPongResult run_pingpong(std::uint64_t bytes, int iters) {
 // --------------------------------------------------------------------------
 
 struct PointRun {
+  int nodes = 0;
   double runtime_sec = 0;  // simulated solve time — deterministic
   std::uint64_t events = 0;
   double wall_sec = 0;
   double events_per_sec = 0;
   double allocs_per_event = 0;  // engine-attributed (pool/box/rebuild/frames)
-  std::uint64_t rounds = 0;
-  std::uint64_t cross_shard_events = 0;
 };
 
-PointRun run_umt_point(int nodes, int workers, int rpn) {
+PointRun run_umt_point(int nodes, int rpn) {
   mpirt::ClusterOptions copts;
   copts.nodes = nodes;
   copts.mode = os::OsMode::mckernel_hfi;
   copts.mcdram_bytes = 256ull << 20;
   copts.ddr_bytes = 1ull << 30;
-  copts.host_workers = workers;
   mpirt::Cluster cluster(copts);
   mpirt::WorldOptions wopts;
   wopts.ranks_per_node = rpn;
@@ -223,6 +219,7 @@ PointRun run_umt_point(int nodes, int workers, int rpn) {
   world.run([umt](mpirt::Rank& r) { return apps::umt_rank(r, umt); });
 
   PointRun p;
+  p.nodes = nodes;
   p.wall_sec = seconds_since(t0);
   p.runtime_sec = to_sec(world.max_solve());
   p.events = cluster.engine().events_processed();
@@ -234,17 +231,8 @@ PointRun run_umt_point(int nodes, int workers, int rpn) {
                                       (frames1.host_allocs - frames0.host_allocs);
   p.allocs_per_event =
       p.events > 0 ? static_cast<double>(engine_allocs) / static_cast<double>(p.events) : 0;
-  p.rounds = stats.rounds;
-  p.cross_shard_events = stats.cross_shard_events;
   return p;
 }
-
-struct SweepRow {
-  int nodes = 0;
-  PointRun legacy;       // host_workers = 0: single global queue
-  PointRun sharded_seq;  // host_workers = 1: per-node shards, one thread
-  PointRun sharded_par;  // host_workers = 4: per-node shards, 4 threads
-};
 
 }  // namespace
 
@@ -252,7 +240,7 @@ int main() {
   using pd::bench::quick_mode;
   pd::bench::print_banner(
       "Sim-scale — calendar-queue DES engine at paper scale",
-      "O(1) scheduling, allocation-free events, sharded >= 256-node runs");
+      "O(1) scheduling, allocation-free events, >= 256-node runs");
 
   // Section 1 — raw engine loop.
   const std::uint64_t loop_events = quick_mode() ? 200'000 : 1'000'000;
@@ -279,52 +267,28 @@ int main() {
   // Section 3 — UMT sweep. Quick mode keeps the small point and the
   // paper-scale 256-node point (the gate requires >= 256 nodes).
   const int rpn = 8;
-  const int workers = 4;
   std::vector<int> node_counts;
   for (int n : {16, 64, 256})
     if (!quick_mode() || n != 64) node_counts.push_back(n);
 
-  std::vector<SweepRow> sweep;
-  pd::TextTable table({"Nodes", "Ranks", "Sim s", "Legacy ev/s", "Seq ev/s", "Par ev/s",
-                       "Par/Seq", "Rounds", "X-shard"});
+  std::vector<PointRun> sweep;
+  pd::TextTable table({"Nodes", "Ranks", "Sim s", "Events", "Wall s", "ev/s", "Allocs/ev"});
   for (int n : node_counts) {
-    SweepRow row;
-    row.nodes = n;
-    row.legacy = run_umt_point(n, 0, rpn);
-    row.sharded_seq = run_umt_point(n, 1, rpn);
-    row.sharded_par = run_umt_point(n, workers, rpn);
-    const double speedup = row.sharded_par.wall_sec > 0
-                               ? row.sharded_seq.wall_sec / row.sharded_par.wall_sec
-                               : 0;
+    const PointRun& p = sweep.emplace_back(run_umt_point(n, rpn));
     table.add_row({std::to_string(n), std::to_string(n * rpn),
-                   pd::format_double(row.sharded_seq.runtime_sec, 4),
-                   pd::format_double(row.legacy.events_per_sec, 0),
-                   pd::format_double(row.sharded_seq.events_per_sec, 0),
-                   pd::format_double(row.sharded_par.events_per_sec, 0),
-                   pd::format_double(speedup, 2),
-                   std::to_string(row.sharded_par.rounds),
-                   std::to_string(row.sharded_par.cross_shard_events)});
-    sweep.push_back(row);
+                   pd::format_double(p.runtime_sec, 4), std::to_string(p.events),
+                   pd::format_double(p.wall_sec, 3), pd::format_double(p.events_per_sec, 0),
+                   pd::format_double(p.allocs_per_event, 4)});
   }
   std::printf("%s\n", table.to_string().c_str());
-  const SweepRow& top = sweep.back();
+  const PointRun& top = sweep.back();
 
   std::FILE* json = std::fopen("BENCH_sim_scale.json", "w");
   if (json == nullptr) return 1;
-  auto point_json = [json](const char* key, const PointRun& p, const char* trail) {
-    std::fprintf(json,
-                 "      \"%s\": {\"events\": %llu, \"wall_sec\": %.3f, "
-                 "\"events_per_sec\": %.0f, \"allocs_per_event\": %.4f, "
-                 "\"rounds\": %llu, \"cross_shard_events\": %llu}%s\n",
-                 key, static_cast<unsigned long long>(p.events), p.wall_sec,
-                 p.events_per_sec, p.allocs_per_event,
-                 static_cast<unsigned long long>(p.rounds),
-                 static_cast<unsigned long long>(p.cross_shard_events), trail);
-  };
   std::fprintf(json,
                "{\n"
                "  \"workload\": {\"quick_mode\": %s, \"max_nodes\": %d, "
-               "\"ranks_per_node\": %d, \"umt_steps\": 1, \"workers\": %d},\n"
+               "\"ranks_per_node\": %d, \"umt_steps\": 1},\n"
                "  \"engine_loop\": {\"events\": %llu, \"wall_sec\": %.3f, "
                "\"events_per_sec\": %.0f, \"steady_allocs_per_event\": %.4f, "
                "\"pool_chunks\": %llu, \"calendar_rebuilds\": %llu, "
@@ -332,7 +296,7 @@ int main() {
                "  \"pingpong\": {\"bytes\": %llu, \"iters\": %d, \"mb_per_sec\": %.1f, "
                "\"events\": %llu, \"events_per_sec\": %.0f},\n"
                "  \"sweep\": {\n",
-               quick_mode() ? "true" : "false", top.nodes, rpn, workers,
+               quick_mode() ? "true" : "false", top.nodes, rpn,
                static_cast<unsigned long long>(loop.events), loop.wall_sec,
                loop.events_per_sec, loop.steady_allocs_per_event,
                static_cast<unsigned long long>(loop.pool_chunks),
@@ -341,21 +305,16 @@ int main() {
                static_cast<unsigned long long>(pp_bytes), pp_iters, pp.mb_per_sec,
                static_cast<unsigned long long>(pp.events), pp.events_per_sec);
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepRow& row = sweep[i];
-    const double speedup = row.sharded_par.wall_sec > 0
-                               ? row.sharded_seq.wall_sec / row.sharded_par.wall_sec
-                               : 0;
+    const PointRun& p = sweep[i];
     std::fprintf(json,
                  "    \"n%d\": {\n"
-                 "      \"nodes\": %d, \"ranks\": %d, \"sim_runtime_sec\": %.6f, "
-                 "\"legacy_sim_runtime_sec\": %.6f,\n",
-                 row.nodes, row.nodes, row.nodes * rpn, row.sharded_seq.runtime_sec,
-                 row.legacy.runtime_sec);
-    point_json("legacy", row.legacy, ",");
-    point_json("sharded_seq", row.sharded_seq, ",");
-    point_json("sharded_par", row.sharded_par, ",");
-    std::fprintf(json, "      \"par_speedup\": %.3f\n    }%s\n", speedup,
-                 i + 1 < sweep.size() ? "," : "");
+                 "      \"nodes\": %d, \"ranks\": %d, \"legacy_sim_runtime_sec\": %.6f,\n"
+                 "      \"legacy\": {\"events\": %llu, \"wall_sec\": %.3f, "
+                 "\"events_per_sec\": %.0f, \"allocs_per_event\": %.4f}\n"
+                 "    }%s\n",
+                 p.nodes, p.nodes, p.nodes * rpn, p.runtime_sec,
+                 static_cast<unsigned long long>(p.events), p.wall_sec, p.events_per_sec,
+                 p.allocs_per_event, i + 1 < sweep.size() ? "," : "");
   }
   std::fprintf(json, "  }\n}\n");
   std::fclose(json);
@@ -367,40 +326,10 @@ int main() {
                 loop.steady_allocs_per_event);
     return 1;
   }
-  // Acceptance 2: determinism across drain modes, every sweep point.
-  for (const SweepRow& row : sweep) {
-    if (row.sharded_seq.runtime_sec != row.sharded_par.runtime_sec ||
-        row.sharded_seq.events != row.sharded_par.events) {
-      std::printf("  FAIL: %d-node sharded run diverges across worker counts "
-                  "(%.9f s / %llu ev vs %.9f s / %llu ev)\n",
-                  row.nodes, row.sharded_seq.runtime_sec,
-                  static_cast<unsigned long long>(row.sharded_seq.events),
-                  row.sharded_par.runtime_sec,
-                  static_cast<unsigned long long>(row.sharded_par.events));
-      return 1;
-    }
-    // Arrival-order vs send-order ingress arbitration: the two models may
-    // disagree under incast races, but never wildly — a ratio outside the
-    // band means a shard lost or double-counted traffic.
-    const double ratio = row.legacy.runtime_sec > 0
-                             ? row.sharded_seq.runtime_sec / row.legacy.runtime_sec
-                             : 0;
-    if (ratio < 0.7 || ratio > 1.3) {
-      std::printf("  FAIL: %d-node sharded simulated runtime %.9f s vs legacy %.9f s "
-                  "(ratio %.3f outside [0.7, 1.3])\n",
-                  row.nodes, row.sharded_seq.runtime_sec, row.legacy.runtime_sec, ratio);
-      return 1;
-    }
-    if (row.sharded_par.cross_shard_events == 0) {
-      std::printf("  FAIL: %d-node sharded run exchanged no cross-shard events\n",
-                  row.nodes);
-      return 1;
-    }
-  }
-  // Acceptance 3: the paper-scale point keeps the engine off the host heap.
-  if (top.sharded_par.allocs_per_event > 0.01) {
+  // Acceptance 2: the paper-scale point keeps the engine off the host heap.
+  if (top.allocs_per_event > 0.01) {
     std::printf("  FAIL: %d-node run pays %.4f engine allocs/event (bar: 0.01)\n",
-                top.nodes, top.sharded_par.allocs_per_event);
+                top.nodes, top.allocs_per_event);
     return 1;
   }
   if (pp.mb_per_sec <= 0) {

@@ -22,8 +22,8 @@ int step_tag(int step, int dim, int dir) {
 }
 
 /// Neighbour in the near-cubic decomposition of the whole world. The
-/// factorization is memoized (per thread — ranks run on sharded engine
-/// workers): this is called once per message.
+/// factorization is memoized per thread (independent clusters may run on
+/// separate host threads): this is called once per message.
 int rank_neighbor(mpirt::Rank& rank, int dim, int dir) {
   thread_local int cached_p = -1;
   thread_local std::array<int, 3> cached_dims;

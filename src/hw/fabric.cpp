@@ -20,8 +20,8 @@ Dur Fabric::serialize_time(std::uint64_t bytes) const {
 }
 
 void Fabric::send(WireChunk chunk, std::function<void()> on_egress) {
-  chunks_sent_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(chunk.chunk_bytes, std::memory_order_relaxed);
+  ++chunks_sent_;
+  bytes_sent_ += chunk.chunk_bytes;
 
   Port& src = ports_.at(static_cast<std::size_t>(chunk.msg.src_node));
   const Dur ser = chunk.serialize_cost > 0 ? chunk.serialize_cost
@@ -41,29 +41,6 @@ void Fabric::send(WireChunk chunk, std::function<void()> on_egress) {
   // egress_done + wire_latency, while incast still serializes on the
   // ingress busy window.
   const Time head_arrival = egress_start + config_.wire_latency;
-
-  if (engine_.sharded()) {
-    // Sharded: the destination port belongs to the destination shard, so
-    // the ingress reservation must happen there. The hop lands at head
-    // arrival, which is >= now + wire_latency = now + lookahead, honouring
-    // the cross-shard contract. Ingress windows are granted in arrival
-    // order (deterministic, but can differ from the unsharded send-order
-    // reservation when transfers race for one port).
-    const int dst_node = chunk.msg.dst_node;
-    engine_.schedule_on(
-        dst_node, head_arrival, [this, dst_node, ser, chunk = std::move(chunk)]() mutable {
-          Port& dst = ports_[static_cast<std::size_t>(dst_node)];
-          const Time ingress_start = std::max(engine_.now(), dst.ingress_free_at);
-          const Time ingress_done = ingress_start + ser;
-          dst.ingress_free_at = ingress_done;
-          Port* dst_port = &dst;
-          engine_.schedule_at(ingress_done, [dst_port, chunk = std::move(chunk)] {
-            assert(dst_port->sink && "destination NIC not attached");
-            dst_port->sink(chunk);
-          });
-        });
-    return;
-  }
 
   Port& dst = ports_.at(static_cast<std::size_t>(chunk.msg.dst_node));
   const Time ingress_start = std::max(head_arrival, dst.ingress_free_at);

@@ -7,14 +7,10 @@
 //
 // Ports are modelled with busy-until timestamps rather than coroutines:
 // one chunk costs exactly two scheduled events, which keeps 256-node ×
-// 8192-rank runs tractable.
-// Under a sharded engine (one shard per node) a chunk costs three events:
-// the cross-shard hop lands on the destination shard at head arrival —
-// always >= send-time + wire_latency, i.e. outside the lookahead window —
-// and the ingress busy-window reservation happens there, in arrival order.
+// 8192-rank runs tractable. Both port windows are reserved at send time,
+// so contending transfers are granted the destination port in send order.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -53,8 +49,8 @@ class Fabric {
   Dur serialize_time(std::uint64_t bytes) const;
 
   const FabricConfig& config() const { return config_; }
-  std::uint64_t chunks_sent() const { return chunks_sent_.load(std::memory_order_relaxed); }
-  std::uint64_t bytes_sent() const { return bytes_sent_.load(std::memory_order_relaxed); }
+  std::uint64_t chunks_sent() const { return chunks_sent_; }
+  std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
   struct Port {
@@ -66,9 +62,8 @@ class Fabric {
   sim::Engine& engine_;
   FabricConfig config_;
   std::vector<Port> ports_;
-  // Atomic: sends originate from every shard when the engine is sharded.
-  std::atomic<std::uint64_t> chunks_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
+  std::uint64_t chunks_sent_ = 0;
+  std::uint64_t bytes_sent_ = 0;
 };
 
 }  // namespace pd::hw

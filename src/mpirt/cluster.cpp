@@ -5,14 +5,9 @@
 namespace pd::mpirt {
 
 Cluster::Cluster(ClusterOptions opts) : opts_(std::move(opts)) {
-  if (opts_.host_workers > 0 && opts_.nodes > 1)
-    engine_.enable_sharding(opts_.nodes, opts_.host_workers, opts_.fabric.wire_latency);
   fabric_ = std::make_unique<hw::Fabric>(engine_, opts_.nodes, opts_.fabric);
   nodes_.reserve(static_cast<std::size_t>(opts_.nodes));
   for (int i = 0; i < opts_.nodes; ++i) {
-    // Everything a node spawns (SDMA engines, IKC service loops, watchdog
-    // timers) lives on that node's shard.
-    sim::Engine::ShardScope shard(engine_, i);
     Node node;
     node.phys = std::make_unique<mem::PhysMap>(
         mem::PhysMap::knl(opts_.mcdram_bytes, opts_.ddr_bytes, opts_.cfg.numa_per_kind));

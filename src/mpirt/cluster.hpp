@@ -27,11 +27,6 @@ struct ClusterOptions {
   /// real 16/96 GB so host-side bookkeeping stays cheap at 256 nodes.
   std::uint64_t mcdram_bytes = 2ull << 30;
   std::uint64_t ddr_bytes = 6ull << 30;
-  /// > 0 shards the engine per node and drains the shards on this many
-  /// host threads (1 = sequential rounds, same schedule). The lookahead is
-  /// the fabric wire latency — the minimum cross-node delay. 0 (default)
-  /// keeps the single global queue with its exact legacy event order.
-  int host_workers = 0;
 };
 
 class Cluster {

@@ -32,9 +32,6 @@ MpiWorld::MpiWorld(Cluster& cluster, WorldOptions opts)
   ranks_.reserve(static_cast<std::size_t>(total));
   inboxes_.resize(static_cast<std::size_t>(total));
   for (int r = 0; r < total; ++r) {
-    // Endpoint construction spawns the PSM progress loop; pin it (and
-    // everything else the rank owns) to its node's shard.
-    sim::Engine::ShardScope shard(cluster_.engine(), node_of(r));
     auto proc = cluster_.make_process(node_of(r), ctxt_of(r));
     auto& node = cluster_.node(node_of(r));
     auto ep = std::make_unique<psm::Endpoint>(*proc, *node.device, node.pico.get());
@@ -45,7 +42,6 @@ MpiWorld::MpiWorld(Cluster& cluster, WorldOptions opts)
 void MpiWorld::run(const std::function<sim::Task<>(Rank&)>& body) {
   completed_ = 0;
   for (auto& rank : ranks_) {
-    sim::Engine::ShardScope shard(cluster_.engine(), node_of(rank->id()));
     sim::spawn(cluster_.engine(), [](MpiWorld* world, Rank* r,
                                      const std::function<sim::Task<>(Rank&)>& fn) -> sim::Task<> {
       co_await fn(*r);

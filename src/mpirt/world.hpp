@@ -16,7 +16,6 @@
 // tags the algorithm that actually ran into its stats (I_MPI_STATS-style).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -150,7 +149,7 @@ class Rank {
   void solve_begin();
   void solve_end();
 
-  /// --- point-to-point traffic accounting (rank-local, so shard-safe) ------
+  /// --- point-to-point traffic accounting (rank-local) ----------------------
   /// Messages/bytes this rank posted, by direction. The collective property
   /// harness compares these totals against the textbook reference models.
   std::uint64_t sent_msgs() const { return sent_msgs_; }
@@ -274,8 +273,7 @@ class MpiWorld {
   WorldOptions opts_;
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::vector<ShmInbox> inboxes_;
-  // Atomic: rank bodies complete on their node's shard, possibly in parallel.
-  std::atomic<int> completed_{0};
+  int completed_ = 0;
 };
 
 }  // namespace pd::mpirt

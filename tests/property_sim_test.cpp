@@ -1,14 +1,7 @@
-// Scheduler equivalence properties (ISSUE 6).
-//
-// 1. Wheel ≡ heap: the calendar-queue engine must execute a randomized,
-//    self-expanding schedule (nested events, same-time ties, far-future
-//    overflow spikes) in exactly the order a reference binary heap with the
-//    (t, seq) contract executes it.
-// 2. Parallel ≡ sequential: a sharded engine drained by N worker threads
-//    must produce the same per-shard event logs, clocks and event count as
-//    the same program drained by sequential rounds (workers=1).
-// 3. The same property at cluster level: a multi-node UMT proxy run under
-//    `host_workers` 1 and 4 must produce bit-identical signatures.
+// Scheduler equivalence property: wheel ≡ heap. The calendar-queue engine
+// must execute a randomized, self-expanding schedule (nested events,
+// same-time ties, far-future overflow spikes) in exactly the order a
+// reference binary heap with the (t, seq) contract executes it.
 //
 // Determinism: fixed default seed, overridable with PD_PROPERTY_SEED; a
 // failure prints the seed. Run with `ctest -L property`.
@@ -21,11 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/proxies.hpp"
-#include "src/common/rng.hpp"
 #include "src/common/units.hpp"
 #include "src/sim/engine.hpp"
-#include "src/sim/task.hpp"
 
 namespace pd {
 namespace {
@@ -41,10 +31,6 @@ std::uint64_t harness_seed() {
 std::string repro(std::uint64_t seed) {
   return "\n  reproduce with PD_PROPERTY_SEED=" + std::to_string(seed);
 }
-
-// --------------------------------------------------------------------------
-// Property 1: wheel ≡ heap.
-// --------------------------------------------------------------------------
 
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -163,120 +149,6 @@ TEST(PropertySim, WheelMatchesReferenceHeapBreadth) {
   // Extra fixed seeds keep running even when PD_PROPERTY_SEED pins the main
   // property to one value.
   for (std::uint64_t seed : {0xA5A5ull, 2026ull, 0xDEC0DEull}) check_wheel_vs_heap(seed);
-}
-
-// --------------------------------------------------------------------------
-// Property 2: sharded parallel ≡ sequential (engine level).
-// --------------------------------------------------------------------------
-
-struct ShardLog {
-  std::vector<Fired> fired;  // one per shard: never shared across workers
-};
-
-sim::Task<> shard_driver(sim::Engine& e, std::vector<ShardLog>& logs, int shard, int shards,
-                         std::uint64_t seed) {
-  Rng rng(seed + static_cast<std::uint64_t>(shard) * 7919);
-  const Dur lookahead = e.lookahead();
-  for (std::uint32_t step = 0; step < 200; ++step) {
-    co_await e.delay(static_cast<Dur>(rng.next_below(static_cast<std::uint64_t>(5_us))));
-    logs[static_cast<std::size_t>(shard)].fired.push_back(
-        {e.now(), step});
-    if (rng.next_below(3) == 0) {
-      // Cross-shard message, respecting the lookahead contract.
-      const int dst = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(shards)));
-      const Time t = e.now() + lookahead +
-                     static_cast<Dur>(rng.next_below(static_cast<std::uint64_t>(10_us)));
-      const std::uint32_t tag = 0x8000'0000u | (static_cast<std::uint32_t>(shard) << 16) | step;
-      std::vector<ShardLog>* lg = &logs;
-      sim::Engine* eng = &e;
-      const auto dsts = static_cast<std::size_t>(dst);
-      e.schedule_on(dst, t, [lg, eng, dsts, tag] {
-        (*lg)[dsts].fired.push_back({eng->now(), tag});
-      });
-    }
-  }
-}
-
-std::vector<ShardLog> run_sharded(std::uint64_t seed, int workers) {
-  constexpr int kShards = 8;
-  sim::Engine engine;
-  engine.enable_sharding(kShards, workers, 10_us);
-  std::vector<ShardLog> logs(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    sim::Engine::ShardScope scope(engine, s);
-    sim::spawn(engine, shard_driver(engine, logs, s, kShards, seed));
-  }
-  engine.run();
-  EXPECT_EQ(engine.live_tasks(), 0);
-  return logs;
-}
-
-void check_parallel_vs_sequential(std::uint64_t seed) {
-  const std::vector<ShardLog> seq = run_sharded(seed, 1);
-  const std::vector<ShardLog> par = run_sharded(seed, 4);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t s = 0; s < seq.size(); ++s) {
-    ASSERT_EQ(seq[s].fired.size(), par[s].fired.size()) << "shard " << s << repro(seed);
-    for (std::size_t i = 0; i < seq[s].fired.size(); ++i) {
-      ASSERT_EQ(seq[s].fired[i].t, par[s].fired[i].t)
-          << "shard " << s << " event " << i << repro(seed);
-      ASSERT_EQ(seq[s].fired[i].id, par[s].fired[i].id)
-          << "shard " << s << " event " << i << repro(seed);
-    }
-  }
-}
-
-TEST(PropertySim, ShardedParallelMatchesSequential) {
-  const std::uint64_t seed = harness_seed();
-  std::printf("sharded par/seq equivalence: PD_PROPERTY_SEED=%llu\n",
-              static_cast<unsigned long long>(seed));
-  check_parallel_vs_sequential(seed);
-}
-
-// --------------------------------------------------------------------------
-// Property 3: parallel ≡ sequential at cluster level (full stack).
-// --------------------------------------------------------------------------
-
-struct ClusterSig {
-  double runtime_sec;
-  std::uint64_t events;
-  double wait_ms;
-  std::uint64_t descriptors;
-  bool operator==(const ClusterSig&) const = default;
-};
-
-ClusterSig run_cluster(int workers) {
-  mpirt::ClusterOptions copts;
-  copts.nodes = 4;
-  copts.mode = os::OsMode::mckernel_hfi;
-  copts.mcdram_bytes = 256ull << 20;
-  copts.ddr_bytes = 1ull << 30;
-  copts.host_workers = workers;
-  mpirt::Cluster cluster(copts);
-  mpirt::WorldOptions wopts;
-  wopts.ranks_per_node = 8;
-  mpirt::MpiWorld world(cluster, wopts);
-  apps::UmtParams umt;
-  umt.steps = 1;
-  world.run([umt](mpirt::Rank& r) { return apps::umt_rank(r, umt); });
-
-  ClusterSig sig;
-  sig.runtime_sec = to_sec(world.max_solve());
-  sig.events = cluster.engine().events_processed();
-  const mpirt::MpiStatsTable table = world.stats_table();
-  const auto* wait = table.row("Waitall");
-  sig.wait_ms = wait != nullptr ? wait->time_ms : 0;
-  sig.descriptors = 0;
-  for (int n = 0; n < cluster.num_nodes(); ++n)
-    sig.descriptors += cluster.node(n).device->total_descriptors();
-  return sig;
-}
-
-TEST(PropertySim, ClusterParallelMatchesSequential) {
-  const ClusterSig seq = run_cluster(1);
-  const ClusterSig par = run_cluster(4);
-  EXPECT_EQ(seq, par) << "sharded cluster run diverges across worker counts";
-  EXPECT_GT(seq.events, 0u);
 }
 
 }  // namespace

@@ -169,26 +169,5 @@ TEST(Engine, BackwardScheduleAfterRebaseIsAccepted) {
   EXPECT_EQ(e.now(), from_ms(9'000));
 }
 
-TEST(Engine, ShardedBasics) {
-  Engine e;
-  e.enable_sharding(4, 1, 10_ns);
-  EXPECT_EQ(e.num_shards(), 4);
-  EXPECT_TRUE(e.sharded());
-  std::vector<std::pair<int, Time>> fired;
-  {
-    Engine::ShardScope scope(e, 2);
-    EXPECT_EQ(e.active_shard(), 2);
-    e.schedule_after(5_ns, [&] { fired.emplace_back(e.active_shard(), e.now()); });
-    // Cross-shard: beyond the lookahead by contract.
-    e.schedule_on(3, 25_ns, [&] { fired.emplace_back(e.active_shard(), e.now()); });
-  }
-  e.run();
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], (std::pair<int, Time>{2, 5_ns}));
-  EXPECT_EQ(fired[1], (std::pair<int, Time>{3, 25_ns}));
-  EXPECT_TRUE(e.idle());
-  EXPECT_EQ(e.events_processed(), 2u);
-}
-
 }  // namespace
 }  // namespace pd::sim

@@ -19,7 +19,7 @@ more than ``--tolerance`` (default 15%) fails the run.  Two suites:
               shrunken/restored steady-state p95s (simulated time).
   sim_scale — bench_sim_scale / BENCH_sim_scale.json: the calendar-queue
               DES engine at paper scale (raw events/sec, allocation-free
-              event path, >= 256-node sharded UMT sweep).
+              event path, >= 256-node UMT sweep).
   doom_submit — bench_doom_submit / BENCH_doom_submit.json: the pd-doom
               command-queue device class.  Gates the DoomPicoDriver's
               submit-latency speedup over the IKC offload path, the
@@ -156,29 +156,26 @@ GATES_SIM_SCALE = [
     # loop counts real operator-new calls; the sweep point counts
     # engine-attributed allocations (node-pool chunks, boxed callbacks,
     # calendar rebuilds, coroutine-frame host allocs) per event.
+    # The sweep point is the single event queue (JSON key `legacy`, kept so
+    # the baseline series stays continuous).
     ("engine_loop.steady_allocs_per_event", "lower", 0.01),
-    ("sweep.n256.sharded_seq.allocs_per_event", "lower", 0.01),
-    ("sweep.n256.sharded_par.allocs_per_event", "lower", 0.01),
+    ("sweep.n256.legacy.allocs_per_event", "lower", 0.01),
     # Raw scheduler throughput and the paper-scale sweep rate: host-timed,
     # so run this suite with a wide --tolerance, but a collapse here is
     # exactly the regression this bench exists to catch.
     ("engine_loop.events_per_sec", "higher", 0.0),
-    ("sweep.n256.sharded_seq.events_per_sec", "higher", 0.0),
-    # Simulated results — deterministic; must not drift in either direction,
-    # so gate both the sharded and legacy simulated runtimes as "lower"
-    # (slower simulated apps mean the network/offload model changed) and the
-    # ping-pong bandwidth as "higher".
+    ("sweep.n256.legacy.events_per_sec", "higher", 0.0),
+    # Simulated results — deterministic; gate the simulated runtime as
+    # "lower" (slower simulated apps mean the network/offload model changed)
+    # and the ping-pong bandwidth as "higher".
     ("pingpong.mb_per_sec", "higher", 0.0),
-    ("sweep.n256.sim_runtime_sec", "lower", 0.0),
     ("sweep.n256.legacy_sim_runtime_sec", "lower", 0.0),
 ]
 
 INFORMATIONAL_SIM_SCALE = [
     "engine_loop.wall_sec",
-    "sweep.n256.sharded_seq.wall_sec",
-    "sweep.n256.sharded_par.wall_sec",
-    "sweep.n256.par_speedup",
-    "sweep.n256.legacy.events_per_sec",
+    "sweep.n256.legacy.wall_sec",
+    "sweep.n256.legacy.events",
 ]
 
 # pd-doom batched submit: offload vs fast path (§3.4 on the second device
