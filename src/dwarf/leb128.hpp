@@ -87,18 +87,20 @@ class ByteCursor {
   }
 
   Result<std::int64_t> read_sleb128() {
-    std::int64_t value = 0;
+    // Accumulate and sign-extend in uint64_t: a 9-byte encoding ends at
+    // shift 63, where the signed form would have to negate INT64_MIN.
+    std::uint64_t value = 0;
     int shift = 0;
     std::uint8_t byte = 0;
     while (true) {
       if (pos_ >= size_ || shift > 63) return Errno::einval;
       byte = data_[pos_++];
-      value |= static_cast<std::int64_t>(byte & 0x7F) << shift;
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
       shift += 7;
       if ((byte & 0x80) == 0) break;
     }
-    if (shift < 64 && (byte & 0x40) != 0) value |= -(static_cast<std::int64_t>(1) << shift);
-    return value;
+    if (shift < 64 && (byte & 0x40) != 0) value |= ~std::uint64_t{0} << shift;
+    return static_cast<std::int64_t>(value);
   }
 
   /// NUL-terminated string (DW_FORM_string).

@@ -90,6 +90,8 @@ namespace {
 constexpr std::size_t kChunkNodes = 256;
 constexpr std::size_t kInitBuckets = 64;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
+constexpr std::size_t kHeadSample = 64;  // earliest events that set the width
+constexpr std::uint64_t kStaleWalk = 8;  // insert steps per pop that mean a stale width
 }  // namespace
 
 Engine::Engine() { buckets_.resize(kInitBuckets); }
@@ -152,7 +154,10 @@ void Engine::bucket_insert(Bucket& b, EventNode* n) {
     return;
   }
   EventNode* p = b.head;
-  while (p->next != nullptr && !later(*p->next, *n)) p = p->next;
+  while (p->next != nullptr && !later(*p->next, *n)) {
+    p = p->next;
+    ++stats_.insert_steps;
+  }
   n->next = p->next;
   p->next = n;  // tail unchanged: n landed strictly before the old tail
 }
@@ -186,8 +191,15 @@ void Engine::insert(EventNode* n) {
   bucket_insert(buckets_[idx], n);
   if (idx < cur_) cur_ = idx;
   ++cal_size_;
-  if (cal_size_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets)
+  const std::size_t pending = cal_size_ + overflow_.size();
+  if (pending > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
     rebuild(buckets_.size() * 2);
+  } else if (stats_.insert_steps - steps_at_resize_ > kStaleWalk * pops_since_resize_ + pending) {
+    // Inserts keep walking long lists: the width was set while the head
+    // looked different (only far timers pending, say). The walks have
+    // already paid for a rebuild, which re-derives it from today's head.
+    rebuild(buckets_.size());
+  }
 }
 
 Time Engine::next_time() {
@@ -244,22 +256,18 @@ void Engine::rebuild(std::size_t nbuckets) {
   all.insert(all.end(), overflow_.begin(), overflow_.end());
   overflow_.clear();
 
-  // Re-derive the bucket width from the observed event spacing: twice the
-  // mean gap between adjacent distinct times in a small sorted sample, so
-  // a bucket holds a handful of events on average.
+  // Width: twice the mean gap, duplicates included, among the kHeadSample
+  // earliest pending events (Brown's rule). They are the ones about to be
+  // dequeued, while the whole population is dominated by ms-scale
+  // watchdog timers. A same-time burst at the head (span 0) says nothing
+  // about spacing, so the width stays.
   if (all.size() >= 2) {
-    std::array<Time, 64> sample;
-    const std::size_t take = std::min(all.size(), sample.size());
-    for (std::size_t i = 0; i < take; ++i) sample[i] = all[i * all.size() / take]->t;
-    std::sort(sample.begin(), sample.begin() + static_cast<std::ptrdiff_t>(take));
-    Dur gap_sum = 0;
-    int gaps = 0;
-    for (std::size_t i = 1; i < take; ++i)
-      if (sample[i] > sample[i - 1]) {
-        gap_sum += sample[i] - sample[i - 1];
-        ++gaps;
-      }
-    if (gaps > 0) width_ = std::max<Dur>(1, 2 * gap_sum / gaps);
+    const auto earlier = [](const EventNode* a, const EventNode* b) { return later(*b, *a); };
+    const std::size_t take = std::min(all.size(), kHeadSample);
+    const auto last = all.begin() + static_cast<std::ptrdiff_t>(take - 1);
+    std::nth_element(all.begin(), last, all.end(), earlier);
+    const Dur span = (*last)->t - (*std::min_element(all.begin(), last + 1, earlier))->t;
+    if (span > 0) width_ = std::max<Dur>(1, 2 * span / static_cast<Dur>(take - 1));
   }
 
   buckets_.assign(nbuckets, Bucket{});
@@ -272,12 +280,13 @@ void Engine::rebuild(std::size_t nbuckets) {
   for (EventNode* n : all) {
     if (n->t >= horizon) {
       overflow_.push_back(n);
-      std::push_heap(overflow_.begin(), overflow_.end(), heap_later);
     } else {
       bucket_insert(buckets_[static_cast<std::size_t>((n->t - base_) / width_)], n);
       ++cal_size_;
     }
   }
+  std::make_heap(overflow_.begin(), overflow_.end(), heap_later);
+  steps_at_resize_ = stats_.insert_steps;
 }
 
 void Engine::dispatch(EventNode* n) {

@@ -10,6 +10,7 @@
 #include "src/common/units.hpp"
 #include "src/hfi/driver.hpp"
 #include "src/pico/hfi_picodriver.hpp"
+#include "src/sim/sync.hpp"
 
 // ASSERT_* returns `void`, which is illegal inside a coroutine; this is the
 // coroutine-safe equivalent (record failure, co_return).
@@ -485,10 +486,14 @@ TEST(Tid, QuotaFloodDuringSuspendedWritevSparesPinnedCache) {
     hdr.on_complete = [&done] { done = true; };
     std::vector<os::IoVec> iov{os::IoVec{reinterpret_cast<mem::VirtAddr>(&hdr), sizeof hdr},
                                os::IoVec{*abuf, 64_KiB}};
+    // The send reads fa, iov and hdr from this frame until it returns.
+    sim::Latch sent(cl.engine);
     sim::spawn(cl.engine, [](pico::HfiPicoDriver& pd_, os::OpenFile& f,
-                             std::vector<os::IoVec>& io, Result<long>& out) -> sim::Task<> {
+                             std::vector<os::IoVec>& io, Result<long>& out,
+                             sim::Latch& done_sending) -> sim::Task<> {
       out = co_await pd_.fast_writev(f, io);
-    }(*node.pico, fa, iov, wr));
+      done_sending.trigger();
+    }(*node.pico, fa, iov, wr, sent));
     co_await cl.engine.delay(from_us(50));  // let it pin and hit the lock
     EXPECT_EQ(node.pico->fast_writevs(), 1u) << "the send must be in flight";
 
@@ -505,6 +510,7 @@ TEST(Tid, QuotaFloodDuringSuspendedWritevSparesPinnedCache) {
 
     for (int e = 0; e < node.device->num_engines(); ++e)
       node.driver->engine_lock(e).release();
+    co_await sent.wait();
   }(c, *proc, completed, writev_result));
   c.nodes[1].device->open_context(0);
   c.engine.run();

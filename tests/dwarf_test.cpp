@@ -39,6 +39,35 @@ TEST(Leb128, SignedRoundtrip) {
   }
 }
 
+TEST(Leb128, NineAndTenByteSignedEncodings) {
+  // Nine bytes end at shift 63: the sign extension sets bit 63 alone.
+  // Ten bytes carry bit 63 in the last byte and need no extension.
+  struct Case {
+    std::vector<std::uint8_t> bytes;
+    std::int64_t value;
+  };
+  const std::vector<Case> cases = {
+      {{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}, INT64_MIN / 2},
+      {{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, -1},
+      {{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x3F}, INT64_MAX / 2},
+      {{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x7F}, INT64_MIN},
+      {{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00}, INT64_MAX},
+      {{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, -1},
+  };
+  for (const Case& c : cases) {
+    ByteCursor cur(c.bytes.data(), c.bytes.size());
+    auto r = cur.read_sleb128();
+    ASSERT_TRUE(r.ok()) << c.bytes.size() << "-byte encoding of " << c.value;
+    EXPECT_EQ(*r, c.value) << c.bytes.size() << "-byte encoding";
+    EXPECT_EQ(cur.offset(), c.bytes.size());
+  }
+  // An eleventh byte cannot fit in 64 bits.
+  std::vector<std::uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x00);
+  ByteCursor cur(eleven.data(), eleven.size());
+  EXPECT_FALSE(cur.read_sleb128().ok());
+}
+
 TEST(Leb128, KnownEncodings) {
   // Classic DWARF spec examples.
   std::vector<std::uint8_t> buf;

@@ -169,5 +169,72 @@ TEST(Engine, BackwardScheduleAfterRebaseIsAccepted) {
   EXPECT_EQ(e.now(), from_ms(9'000));
 }
 
+TEST(Engine, WatchdogTimersDoNotInflateBuckets) {
+  // IKC arms ms-scale deadline watchdogs beside ns-spaced offload traffic.
+  // The watchdogs dominate the pending population, but the bucket width
+  // must follow the events at the head of the queue: sized from the whole
+  // population, one bucket swallows every stream event and each
+  // out-of-order insert walks most of them. Both arming orders must hold,
+  // including watchdogs armed before any traffic, when every resize so far
+  // saw only timers at the head.
+  struct Rig {
+    Engine e;
+    std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+    Time end = from_ms(12);
+    Time last = 0;
+    bool in_order = true;
+    std::uint64_t draw() {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    }
+    bool fire() {
+      in_order = in_order && e.now() >= last;
+      last = e.now();
+      return e.now() < end;
+    }
+    void arm_watchdog() {
+      e.schedule_after(from_ms(2) + static_cast<Dur>(draw() % static_cast<std::uint64_t>(from_ms(8))),
+                       [this] {
+                         if (fire()) arm_watchdog();
+                       });
+    }
+    void stream() {
+      // 1-4 us on a 100 ns grid, so the 128 streams collide on shared
+      // times; one step in eight is a zero-delay yield.
+      const Dur d = draw() % 8 == 0 ? 0 : 1_us + static_cast<Dur>(draw() % 30) * 100_ns;
+      e.schedule_after(d, [this] {
+        if (fire()) stream();
+      });
+    }
+  };
+  for (const bool watchdogs_first : {true, false}) {
+    SCOPED_TRACE(watchdogs_first ? "watchdogs armed first" : "streams started first");
+    Rig rig;
+    const auto arm_watchdogs = [&rig] {
+      for (int i = 0; i < 2'000; ++i) rig.arm_watchdog();
+    };
+    const auto start_streams = [&rig] {
+      for (int i = 0; i < 128; ++i) rig.stream();
+    };
+    if (watchdogs_first) {
+      arm_watchdogs();
+      start_streams();
+    } else {
+      start_streams();
+      arm_watchdogs();
+    }
+    rig.e.run();
+
+    const std::uint64_t steps = rig.e.stats().insert_steps;
+    const std::uint64_t events = rig.e.events_processed();
+    EXPECT_TRUE(rig.in_order);
+    EXPECT_GT(events, 500'000u);
+    EXPECT_LE(static_cast<double>(steps) / static_cast<double>(events), 4.0)
+        << steps << " insert steps over " << events << " events";
+  }
+}
+
 }  // namespace
 }  // namespace pd::sim
