@@ -61,8 +61,8 @@ struct StormResult {
   double sim_ms = 0;
   // Wakeup accounting (§8.4): the return path's cost in cross-kernel
   // wakeups. `doorbells` are submit-side loop wakeups, `reply_wakeups`
-  // completion-side consumer wakeups (one per request in latch mode; one
-  // per drained batch per parked channel with reply rings).
+  // completion-side consumer wakeups (one per drained batch per parked
+  // channel, plus one per reply that finds its reply ring full).
   std::uint64_t doorbells = 0;
   std::uint64_t reply_wakeups = 0;
   // Direct-mode equivalents: one proxy wakeup per submit, one LWK wakeup

@@ -1,6 +1,7 @@
 #include "src/dwarf/extract.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -198,10 +199,16 @@ Result<StructLayout> extract_struct(const DebugInfoView& view, const std::string
     if (size > layout.byte_size || *offset > layout.byte_size - size) return Errno::einval;
     FieldLayout fl{field, *offset, size, std::move(decl), 0, 0};
     if (auto bits = member->unsigned_attr(DW_AT_bit_size)) {
+      // Checked in 64 bits before narrowing: a zero width, a wrapping sum or
+      // a truncated offset must not pass as a field inside its storage unit.
+      // The unit's width is capped so both 32-bit narrowings stay exact.
+      constexpr std::uint64_t kMaxUnitBytes = std::numeric_limits<std::uint32_t>::max() / 8;
+      const std::uint64_t unit_bits = std::min(size, kMaxUnitBytes) * 8;
+      const std::uint64_t bit_offset = member->unsigned_attr(DW_AT_bit_offset).value_or(0);
+      if (*bits == 0 || *bits > unit_bits || bit_offset > unit_bits - *bits)
+        return Errno::einval;
       fl.bit_size = static_cast<std::uint32_t>(*bits);
-      fl.bit_offset = static_cast<std::uint32_t>(
-          member->unsigned_attr(DW_AT_bit_offset).value_or(0));
-      if (fl.bit_offset + fl.bit_size > size * 8) return Errno::einval;
+      fl.bit_offset = static_cast<std::uint32_t>(bit_offset);
     }
     layout.fields.push_back(std::move(fl));
   }

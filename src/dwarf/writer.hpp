@@ -47,8 +47,8 @@ class InfoBuilder {
     // Bitfield members (bit_size > 0): DW_AT_bit_offset counts from the
     // least-significant bit of the storage unit at `offset` (the
     // little-endian convention this library fixes).
-    std::uint32_t bit_size = 0;
-    std::uint32_t bit_offset = 0;
+    std::uint64_t bit_size = 0;
+    std::uint64_t bit_offset = 0;
   };
   struct Enumerator {
     std::string name;

@@ -20,13 +20,7 @@ ExtentCache::Entry* ExtentCache::select_victim() {
   };
   for (Entry& e : entries_) {
     if (e.pin_count > 0) continue;
-    if (best == nullptr) {
-      best = &e;
-      continue;
-    }
-    const bool worse = policy_ == EvictionPolicy::lru ? e.last_used < best->last_used
-                                                      : score(e) < score(*best);
-    if (worse) best = &e;
+    if (best == nullptr || score(e) < score(*best)) best = &e;
   }
   return best;
 }
@@ -86,12 +80,7 @@ Result<std::span<const PhysExtent>> ExtentCache::lookup(const AddressSpace& as, 
     return std::span<const PhysExtent>(scratch_.extents);
   }
 
-  Entry* entry = nullptr;
-  for (Entry& e : entries_)
-    if (e.va == va && e.len == len && e.max_extent == max_extent) {
-      entry = &e;
-      break;
-    }
+  Entry* entry = find_entry(va, len, max_extent);
 
   Outcome miss_kind = Outcome::miss;
   if (entry != nullptr) {

@@ -16,12 +16,12 @@
 // Either way a stale entry can never hand out frames that were returned to
 // the allocator.
 //
-// Eviction is size-aware by default: entries are scored by
-// hit_count × resident bytes, decayed by LRU age, so the large persistent
-// windows PSM registers survive bursts of small transient sends (the
-// thrash problem pure LRU has with mixed-lifetime workloads). Entries can
-// additionally be pinned (pin/unpin) for the duration of an in-flight
-// send: a pinned entry is never an eviction victim, whatever its score.
+// Eviction is size-aware: entries are scored by hit_count × resident
+// bytes, decayed by LRU age, so the large persistent windows PSM registers
+// survive bursts of small transient sends (the thrash problem pure LRU has
+// with mixed-lifetime workloads). Entries can additionally be pinned
+// (pin/unpin) for the duration of an in-flight send: a pinned entry is
+// never an eviction victim, whatever its score.
 #pragma once
 
 #include <cstdint>
@@ -49,18 +49,10 @@ class ExtentCache {
   };
 
   /// What one lookup() did. `evicted_small` is a cold miss that had to push
-  /// out the lowest-retention-value entry (under the size-aware policy: the
-  /// small/transient one) to make room.
+  /// out the lowest-retention-value (the small/transient) entry to make room.
   enum class Outcome { hit, miss, range_invalidated, generation_overflow, evicted_small };
 
-  enum class EvictionPolicy {
-    lru,         // evict the least-recently-used entry (the PR-1 policy)
-    size_aware,  // evict min of (1 + hits) × resident bytes, decayed by age
-  };
-
-  explicit ExtentCache(std::size_t capacity = 64,
-                       EvictionPolicy policy = EvictionPolicy::size_aware)
-      : capacity_(capacity), policy_(policy) {}
+  explicit ExtentCache(std::size_t capacity = 64) : capacity_(capacity) {}
 
   /// Resolve [va, va+len) against `as`. On a hit the cached runs are
   /// returned without touching the page table; on a miss (or when the
@@ -86,7 +78,6 @@ class ExtentCache {
   const Stats& stats() const { return stats_; }
   std::size_t entries() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
-  EvictionPolicy policy() const { return policy_; }
 
  private:
   struct Entry {
@@ -108,7 +99,6 @@ class ExtentCache {
   void shrink_to_capacity();
 
   std::size_t capacity_;
-  EvictionPolicy policy_;
   std::uint64_t tick_ = 0;
   std::vector<Entry> entries_;  // few entries; linear scan beats hashing
   Entry scratch_;               // pass-through storage when capacity_ == 0

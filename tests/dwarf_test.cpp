@@ -2,6 +2,7 @@
 // structure extraction, Listing-1 header generation, module container.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/dwarf/constants.hpp"
@@ -226,13 +227,25 @@ TEST(Extract, MissingStructOrFieldFails) {
 // Debug info comes from driver binaries the LWK does not control: malformed
 // type graphs must get EINVAL from both extraction entry points, and in
 // bounded time (a hang fails this binary by its ctest timeout).
-void expect_einval(const InfoBuilder& b, const std::string& struct_name,
+void expect_einval(const DebugInfo& dbg, const std::string& struct_name,
                    const std::string& field) {
-  const DebugInfo dbg = b.build("p", "m");
   auto view = DebugInfoView::parse(dbg.abbrev, dbg.info);
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(extract_struct(*view, struct_name, {field}).error(), Errno::einval);
   EXPECT_EQ(extract_struct_header(*view, struct_name, {field}).error(), Errno::einval);
+}
+
+void expect_einval(const InfoBuilder& b, const std::string& struct_name,
+                   const std::string& field) {
+  expect_einval(b.build("p", "m"), struct_name, field);
+}
+
+/// A 16-byte struct with one bitfield member `bits` in a 4-byte unit at 8.
+InfoBuilder bitfield_struct(std::uint64_t bit_size, std::uint64_t bit_offset) {
+  InfoBuilder b;
+  const TypeRef u32 = b.add_base_type("unsigned int", 4, DW_ATE_unsigned);
+  b.add_struct("flags", 16, {{"bits", u32, 8, bit_size, bit_offset}});
+  return b;
 }
 
 TEST(ExtractMalformed, TypedefCycleIsRejected) {
@@ -258,6 +271,44 @@ TEST(ExtractMalformed, FieldOffsetPastStructIsRejected) {
   const TypeRef u32 = b.add_base_type("unsigned int", 4, DW_ATE_unsigned);
   b.add_struct("far", 16, {{"x", u32, ~std::uint64_t{0} - 1}});
   expect_einval(b, "far", "x");
+}
+
+TEST(ExtractMalformed, BitfieldOffsetThatWrapsIsRejected) {
+  // 0xFFFFFFFF + 2 wraps 32 bits to 1, inside the 32-bit unit.
+  expect_einval(bitfield_struct(2, 0xFFFFFFFFull), "flags", "bits");
+}
+
+TEST(ExtractMalformed, BitfieldOffsetPast32BitsIsRejected) {
+  // 2^32 + 3 narrowed to 32 bits reads as offset 3.
+  expect_einval(bitfield_struct(2, (std::uint64_t{1} << 32) + 3), "flags", "bits");
+}
+
+TEST(ExtractMalformed, ZeroWidthBitfieldIsRejected) {
+  // InfoBuilder writes a member without DW_AT_bit_size when the width is
+  // 0, so emit 2^28 (LEB128 80 80 80 80 01) and patch its last byte: the
+  // five bytes then decode to 0 and no offset moves.
+  DebugInfo dbg = bitfield_struct(std::uint64_t{1} << 28, 0).build("p", "m");
+  const std::vector<std::uint8_t> width = {0x80, 0x80, 0x80, 0x80, 0x01};
+  auto at = std::search(dbg.info.begin(), dbg.info.end(), width.begin(), width.end());
+  ASSERT_NE(at, dbg.info.end());
+  at[4] = 0x00;
+  expect_einval(dbg, "flags", "bits");
+}
+
+TEST(Extract, FullWidthBitfieldKeepsEveryBit) {
+  // `unsigned bits : 32` is legal; its mask must not shift 1 by 32.
+  const DebugInfo dbg = bitfield_struct(32, 0).build("p", "m");
+  auto view = DebugInfoView::parse(dbg.abbrev, dbg.info);
+  ASSERT_TRUE(view.ok());
+  auto layout = extract_struct(*view, "flags", {"bits"});
+  ASSERT_TRUE(layout.ok());
+  alignas(4) std::uint8_t image[16] = {};
+  const std::uint32_t word = 0xDEADBEEF;
+  __builtin_memcpy(image + 8, &word, 4);
+  BitfieldAccessor<std::uint32_t> bits(*layout->field("bits"));
+  EXPECT_EQ(bits.read(image), 0xDEADBEEFu);
+  bits.write(image, 0x12345678u);
+  EXPECT_EQ(bits.read(image), 0x12345678u);
 }
 
 // The paper's Listing 1, byte for byte in structure (modulo the paper's
@@ -331,10 +382,23 @@ TEST(Extract, FieldAccessorReadsAtExtractedOffset) {
   alignas(8) std::uint8_t image[64] = {};
   image[48] = 0x2A;
   FieldAccessor<std::uint32_t> acc(*layout->field("go_s99_running"));
+  ASSERT_TRUE(acc.bound());
   EXPECT_EQ(acc.read(image), 42u);
   acc.write(image, 7);
   EXPECT_EQ(image[48], 7);
   EXPECT_EQ(acc.read(image), 7u);
+}
+
+TEST(Extract, FieldAccessorBindsOnlyAFieldOfItsWidth) {
+  const DebugInfo dbg = small_builder().build("p", "m");
+  auto view = DebugInfoView::parse(dbg.abbrev, dbg.info);
+  ASSERT_TRUE(view.ok());
+  auto layout = extract_struct(*view, "sdma_state", {"go_s99_running"});
+  ASSERT_TRUE(layout.ok());
+  // A 4-byte field: an 8-byte accessor would touch the 4 bytes after it.
+  EXPECT_FALSE(FieldAccessor<std::uint64_t>(*layout->field("go_s99_running")).bound());
+  EXPECT_FALSE(FieldAccessor<std::uint16_t>(*layout->field("go_s99_running")).bound());
+  EXPECT_TRUE(FieldAccessor<std::uint32_t>(*layout->field("go_s99_running")).bound());
 }
 
 TEST(ModuleBinary, SectionRoundtrip) {

@@ -357,36 +357,12 @@ TEST(ExtentCache, ReMmapAfterMunmapRewalksNotStale) {
     EXPECT_EQ((*fresh)[i].pa, (*truth)[i].pa);
 }
 
-TEST(ExtentCache, LruEvictionOrderAtCapacity) {
-  PhysMap phys = small_map();
-  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
-  auto a = as.mmap_anonymous(16_KiB, kProtRead);
-  auto b = as.mmap_anonymous(16_KiB, kProtRead);
-  auto c = as.mmap_anonymous(16_KiB, kProtRead);
-  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
-  ExtentCache cache(/*capacity=*/2, ExtentCache::EvictionPolicy::lru);
-  ExtentCache::Outcome outcome;
-  ASSERT_TRUE(cache.lookup(as, *a, 16_KiB, 10240).ok());
-  ASSERT_TRUE(cache.lookup(as, *b, 16_KiB, 10240).ok());
-  // Touch `a` so `b` is the LRU victim when `c` arrives.
-  ASSERT_TRUE(cache.lookup(as, *a, 16_KiB, 10240, &outcome).ok());
-  EXPECT_EQ(outcome, ExtentCache::Outcome::hit);
-  ASSERT_TRUE(cache.lookup(as, *c, 16_KiB, 10240, &outcome).ok());
-  EXPECT_EQ(outcome, ExtentCache::Outcome::evicted_small) << "capacity miss evicts";
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  ASSERT_TRUE(cache.lookup(as, *a, 16_KiB, 10240, &outcome).ok());
-  EXPECT_EQ(outcome, ExtentCache::Outcome::hit) << "recently-used entry survives";
-  ASSERT_TRUE(cache.lookup(as, *b, 16_KiB, 10240, &outcome).ok());
-  EXPECT_EQ(outcome, ExtentCache::Outcome::evicted_small) << "LRU entry was evicted";
-}
-
 TEST(ExtentCache, SizeAwareEvictionKeepsLargeHotWindow) {
   PhysMap phys = small_map();
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
   auto window = as.mmap_anonymous(2_MiB, kProtRead);  // persistent PSM window
   ASSERT_TRUE(window.ok());
-  ExtentCache cache(/*capacity=*/4, ExtentCache::EvictionPolicy::size_aware);
+  ExtentCache cache(/*capacity=*/4);
   ExtentCache::Outcome outcome;
   ASSERT_TRUE(cache.lookup(as, *window, 2_MiB, 10240).ok());
   for (int i = 0; i < 2; ++i) {  // accumulate hits on the window

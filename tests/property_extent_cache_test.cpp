@@ -7,9 +7,9 @@
 // an AddressSpace under adversarial map churn, and asserts after EVERY
 // lookup that the cache's answer is byte-identical to a fresh
 // `physical_extents` page-table walk — same extents, same error — across
-// backing policies, eviction policies, cache capacities (including the
-// degenerate 0), and unmap-log capacities (including the 0 = whole-space
-// generation fallback).
+// backing policies, cache capacities (including the degenerate 0), and
+// unmap-log capacities (including the 0 = whole-space generation
+// fallback).
 //
 // Determinism: the seed is fixed (kDefaultSeed) so CI is reproducible, and
 // overridable via PD_PROPERTY_SEED for exploratory fuzzing. On divergence
@@ -44,20 +44,15 @@ std::uint64_t harness_seed() {
 struct CacheConfig {
   const char* name;
   std::size_t capacity;
-  ExtentCache::EvictionPolicy policy;
   std::size_t log_capacity;
 };
 
 constexpr CacheConfig kConfigs[] = {
-    {"prod/size-aware/log32", 64, ExtentCache::EvictionPolicy::size_aware,
-     AddressSpace::kDefaultUnmapLogCapacity},
-    {"prod/lru/log32", 64, ExtentCache::EvictionPolicy::lru,
-     AddressSpace::kDefaultUnmapLogCapacity},
-    {"tiny/size-aware/log4", 4, ExtentCache::EvictionPolicy::size_aware, 4},
-    {"pr1/lru/log0", 4, ExtentCache::EvictionPolicy::lru, 0},
-    {"passthrough/cap0", 0, ExtentCache::EvictionPolicy::size_aware,
-     AddressSpace::kDefaultUnmapLogCapacity},
-    {"single-slot/log2", 1, ExtentCache::EvictionPolicy::size_aware, 2},
+    {"prod/log32", 64, AddressSpace::kDefaultUnmapLogCapacity},
+    {"tiny/log4", 4, 4},
+    {"coarse/log0", 4, 0},
+    {"passthrough/cap0", 0, AddressSpace::kDefaultUnmapLogCapacity},
+    {"single-slot/log2", 1, 2},
 };
 
 struct Region {
@@ -76,7 +71,7 @@ class EquivalenceHarness {
         rng_(seed),
         phys_(PhysMap::knl(128_MiB, 256_MiB, 2)),
         as_(phys_, backing, MemKind::mcdram, 0x30'0000'0000ull, seed ^ 0xF00D),
-        cache_(cfg.capacity, cfg.policy) {
+        cache_(cfg.capacity) {
     as_.set_unmap_log_capacity(cfg.log_capacity);
   }
 
@@ -286,7 +281,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, ExtentCacheEquivalence,
 TEST(ExtentCacheEquivalence, SecondarySeedSweep) {
   for (const std::uint64_t seed : {std::uint64_t{0xC0FFEEull}, std::uint64_t{42}}) {
     std::uint64_t sm = seed;
-    for (const CacheConfig& cfg : {kConfigs[0], kConfigs[3]}) {
+    for (const CacheConfig& cfg : {kConfigs[0], kConfigs[2]}) {
       EquivalenceHarness h(splitmix64(sm), BackingPolicy::lwk_contig, cfg);
       h.run(kOpsPerRun / 2);
       if (h.failed()) return;
@@ -321,7 +316,7 @@ class ExtentCachePinning : public testing::Test {
 // Pinning it must force the burst to evict its own kind instead, and the
 // window must still be a hit when the send resumes.
 TEST_F(ExtentCachePinning, PinnedEntrySurvivesEvictionPressure) {
-  ExtentCache cache(2, ExtentCache::EvictionPolicy::size_aware);
+  ExtentCache cache(2);
   const VirtAddr window = map(4_KiB);  // small: lowest score, natural victim
   ASSERT_EQ(look(cache, window, 4_KiB), ExtentCache::Outcome::miss);
   ASSERT_TRUE(cache.pin(window, 4_KiB, kMaxExtent));
@@ -337,7 +332,7 @@ TEST_F(ExtentCachePinning, PinnedEntrySurvivesEvictionPressure) {
 
   // Control: the identical burst against an unpinned clone evicts the
   // window immediately — the pin is what kept it alive above.
-  ExtentCache control(2, ExtentCache::EvictionPolicy::size_aware);
+  ExtentCache control(2);
   ASSERT_EQ(look(control, window, 4_KiB), ExtentCache::Outcome::miss);
   for (int i = 0; i < 16; ++i) {
     const VirtAddr burst = map(64_KiB);
@@ -350,7 +345,7 @@ TEST_F(ExtentCachePinning, PinnedEntrySurvivesEvictionPressure) {
 // With every entry pinned a cold miss may not kill a window: the cache
 // overflows capacity for the duration and unpin() shrinks it back.
 TEST_F(ExtentCachePinning, AllPinnedOverflowsThenShrinksOnUnpin) {
-  ExtentCache cache(1, ExtentCache::EvictionPolicy::size_aware);
+  ExtentCache cache(1);
   const VirtAddr window = map(64_KiB);
   look(cache, window, 64_KiB);
   ASSERT_TRUE(cache.pin(window, 64_KiB, kMaxExtent));
@@ -368,7 +363,7 @@ TEST_F(ExtentCachePinning, AllPinnedOverflowsThenShrinksOnUnpin) {
 }
 
 TEST_F(ExtentCachePinning, PinsNestAndUnknownKeysAreRejected) {
-  ExtentCache cache(1, ExtentCache::EvictionPolicy::size_aware);
+  ExtentCache cache(1);
   const VirtAddr window = map(16_KiB);
   // Nothing cached yet: nothing to protect.
   EXPECT_FALSE(cache.pin(window, 16_KiB, kMaxExtent));
@@ -389,7 +384,7 @@ TEST_F(ExtentCachePinning, PinsNestAndUnknownKeysAreRejected) {
 // to pin — the driver's pin call degrades to a no-op and the fast path
 // still works.
 TEST_F(ExtentCachePinning, PassThroughCacheHasNothingToPin) {
-  ExtentCache cache(0, ExtentCache::EvictionPolicy::size_aware);
+  ExtentCache cache(0);
   const VirtAddr window = map(16_KiB);
   look(cache, window, 16_KiB);
   EXPECT_FALSE(cache.pin(window, 16_KiB, kMaxExtent));

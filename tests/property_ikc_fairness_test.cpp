@@ -1,23 +1,22 @@
-// Weighted-fair drain equivalence + share properties (ISSUE 7).
+// Weighted-fair drain properties.
 //
-// The fair drain changes *which ring head* a service loop claims next
-// (per-job virtual time instead of class-then-channel sweeps) but must not
-// change *what* the transport does:
+// The fair drain decides *which ring head* a service loop claims next (per-
+// job virtual time, then class, then age) but must not change *what* the
+// transport does. Seeded multi-tenant streams are checked against an oracle
+// built from the script and the service-side execution log:
 //
-//   (a) Degenerate-weights equivalence — the same seeded multi-tenant
-//       stream driven through the strict PR-4 drain and through the fair
-//       drain with every weight equal must produce identical per-rank
-//       return values, identical errno streams, execute every service
-//       exactly once, and preserve the per-(channel, priority) FIFO
-//       contract. For a single tenant on one shared channel the claim
-//       ORDER itself must be identical — there the fair drain's (vtime,
-//       class, age) key collapses to class-then-FIFO, which is exactly
-//       the strict order.
-//   (b) Identical per-job completion sets — fair and strict drains may
-//       interleave tenants differently, but the set of (job, rank, op)
-//       completions and each job's completed count must match exactly.
+//   (a) Every offload returns what its script says (the payload, or EIO),
+//       every scripted service executes exactly once, and within one
+//       (rank, priority) pair services execute in submission order — the
+//       per-(channel, class) FIFO contract, since each rank submits on one
+//       channel.
+//   (b) The set of (job, rank, op) executions and each job's completed
+//       count are exactly the script's.
+//   (c) One tenant funneled onto one ring ties on vtime everywhere, so
+//       every drained batch runs all of its control requests before any of
+//       its bulk requests.
 //
-// A third property pins the weighted share itself: two saturating tenants
+// A fourth property pins the weighted share itself: two saturating tenants
 // with weights 2:1 on one service loop must complete claims in ~2:1.
 //
 // Determinism: fixed default seed, overridable with PD_PROPERTY_SEED; a
@@ -27,7 +26,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -48,6 +46,7 @@ std::uint64_t harness_seed() {
 constexpr int kJobs = 6;
 constexpr int kRanksPerJob = 2;
 constexpr int kOpsPerRank = 25;
+constexpr int kRanks = kJobs * kRanksPerJob;
 
 struct Op {
   Priority prio = Priority::bulk;
@@ -57,11 +56,14 @@ struct Op {
   bool fail = false;
 };
 
+using Scripts = std::vector<std::vector<Op>>;
+
 struct ExecutionRecord {
   int job;
   int rank;  // global rank id (also the channel hint)
   int op_index;
   Priority prio;
+  std::uint64_t batch;  // ikc.ring.batch_drain when the service ran
 };
 
 struct RunResult {
@@ -74,15 +76,20 @@ struct RunResult {
   std::uint64_t degraded = 0;
 };
 
+int job_of(int rank, bool single_job) { return single_job ? 0 : rank / kRanksPerJob; }
+
 sim::Task<> drive_rank(sim::Engine& engine, IkcTransport& transport,
-                       const std::vector<Op>& script, int job, int rank, int channel,
-                       RunResult& out) {
+                       const os::SyscallProfiler& prof, const std::vector<Op>& script, int job,
+                       int rank, int channel, RunResult& out) {
   for (int k = 0; k < static_cast<int>(script.size()); ++k) {
     const Op& op = script[static_cast<std::size_t>(k)];
     auto r = co_await transport.offload(
-        [&engine, &op, &out, job, rank, k]() -> sim::Task<Result<long>> {
+        [&engine, &prof, &op, &out, job, rank, k]() -> sim::Task<Result<long>> {
           co_await engine.delay(op.work);
-          out.executed.push_back({job, rank, k, op.prio});
+          // The service loop bumps batch_drain once before running a batch,
+          // so the counter is the id of the batch this service belongs to.
+          out.executed.push_back(
+              {job, rank, k, op.prio, prof.counter("ikc.ring.batch_drain")});
           if (op.fail) co_return Errno::eio;
           co_return op.payload;
         },
@@ -93,28 +100,18 @@ sim::Task<> drive_rank(sim::Engine& engine, IkcTransport& transport,
   }
 }
 
-constexpr int kRanks = kJobs * kRanksPerJob;
-
-/// Drive the same scripted stream through one drain flavour.
+/// Drive a scripted stream through the ring transport.
 /// `shared_channel` >= 0 funnels every rank onto that one ring;
-/// `single_job` tags every rank with job 0 (the degenerate single-tenant
-/// case — with multiple tenants the fair drain may legitimately serve a
-/// lower-vtime tenant's bulk before another tenant's control, so exact
-/// claim-order equivalence is only pinned for one tenant).
+/// `single_job` tags every rank with job 0 (the single-tenant case).
 /// `atomic_collect` zeroes the lock hand-off and cross-socket drain costs
 /// so batch collection takes no simulated time. With nonzero costs a
-/// control request can *arrive mid-collection*: the fair drain's per-claim
-/// re-scan claims it in the current batch (control beats queued bulk at
-/// equal vtime), while the strict drain's control pass is already over, so
-/// it waits a full batch. That race changes claim order only — FIFO and
-/// completion sets stay identical (the equivalence test runs with the
-/// default costs) — so the order property is pinned where it is exact.
-RunResult run_stream(const std::vector<std::vector<Op>>& scripts, bool fair_drain,
-                     int shared_channel = -1, bool single_job = false,
+/// control request can *arrive mid-collection*, after a bulk head was
+/// already claimed, and the per-claim re-scan claims it in the same batch —
+/// so per-batch class order is only pinned where collection is atomic.
+RunResult run_stream(const Scripts& scripts, int shared_channel = -1, bool single_job = false,
                      bool atomic_collect = false) {
   os::Config cfg;
   cfg.ikc_mode = os::IkcMode::ring;
-  cfg.ikc_fair_drain = fair_drain;
   if (atomic_collect) {
     cfg.ikc_lock_cost = 0;
     cfg.ikc_remote_drain_cost = 0;
@@ -129,11 +126,10 @@ RunResult run_stream(const std::vector<std::vector<Op>>& scripts, bool fair_drai
   out.results.resize(kRanks);
   out.errors.resize(kRanks);
   for (int rank = 0; rank < kRanks; ++rank) {
-    const int job = single_job ? 0 : rank / kRanksPerJob;
     const int channel = shared_channel >= 0 ? shared_channel : rank;
-    sim::spawn(engine, drive_rank(engine, transport,
-                                  scripts[static_cast<std::size_t>(rank)], job, rank,
-                                  channel, out));
+    sim::spawn(engine, drive_rank(engine, transport, linux_kernel.profiler(),
+                                  scripts[static_cast<std::size_t>(rank)],
+                                  job_of(rank, single_job), rank, channel, out));
   }
   engine.run();
   out.timeouts = linux_kernel.profiler().counter("ikc.ring.timeout");
@@ -145,9 +141,9 @@ RunResult run_stream(const std::vector<std::vector<Op>>& scripts, bool fair_drai
   return out;
 }
 
-std::vector<std::vector<Op>> make_scripts(std::uint64_t seed) {
+Scripts make_scripts(std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::vector<Op>> scripts(kRanks);
+  Scripts scripts(kRanks);
   for (int r = 0; r < kRanks; ++r) {
     Rng stream = rng.fork();
     for (int k = 0; k < kOpsPerRank; ++k) {
@@ -163,108 +159,104 @@ std::vector<std::vector<Op>> make_scripts(std::uint64_t seed) {
   return scripts;
 }
 
-void expect_semantic_equivalence(const RunResult& strict, const RunResult& fair) {
-  // Happy path on both sides: a timeout would re-route through the direct
-  // fallback and muddy every ordering claim below.
-  EXPECT_EQ(strict.timeouts, 0u);
-  EXPECT_EQ(fair.timeouts, 0u);
-  EXPECT_EQ(strict.degraded, 0u);
-  EXPECT_EQ(fair.degraded, 0u);
+/// Property (a): per-op results from the script, exactly-once execution
+/// and per-(rank, class) FIFO from the execution log.
+void expect_matches_script(const RunResult& run, const Scripts& scripts) {
+  // Happy path: a timeout would re-route through the direct fallback and
+  // muddy every ordering claim below.
+  EXPECT_EQ(run.timeouts, 0u);
+  EXPECT_EQ(run.degraded, 0u);
 
-  // Identical return values and errno streams, op by op.
   for (int r = 0; r < kRanks; ++r) {
-    ASSERT_EQ(strict.results[r].size(), static_cast<std::size_t>(kOpsPerRank));
-    ASSERT_EQ(fair.results[r].size(), static_cast<std::size_t>(kOpsPerRank));
+    ASSERT_EQ(run.results[r].size(), static_cast<std::size_t>(kOpsPerRank));
     for (int k = 0; k < kOpsPerRank; ++k) {
-      EXPECT_EQ(strict.results[r][k], fair.results[r][k])
-          << "rank " << r << " op " << k << " diverged";
-      EXPECT_EQ(strict.errors[r][k], fair.errors[r][k])
-          << "rank " << r << " op " << k << " errno diverged";
+      const Op& op = scripts[static_cast<std::size_t>(r)][static_cast<std::size_t>(k)];
+      EXPECT_EQ(run.results[r][k], op.fail ? -1 : op.payload)
+          << "rank " << r << " op " << k << " returned the wrong value";
+      EXPECT_EQ(run.errors[r][k], op.fail ? Errno::eio : Errno::ok)
+          << "rank " << r << " op " << k << " returned the wrong errno";
     }
   }
 
-  // Every scripted service ran exactly once under both drains.
-  ASSERT_EQ(strict.executed.size(), static_cast<std::size_t>(kRanks * kOpsPerRank));
-  ASSERT_EQ(fair.executed.size(), static_cast<std::size_t>(kRanks * kOpsPerRank));
+  ASSERT_EQ(run.executed.size(), static_cast<std::size_t>(kRanks * kOpsPerRank));
   std::vector<std::vector<int>> seen(kRanks, std::vector<int>(kOpsPerRank, 0));
-  for (const auto& e : fair.executed) ++seen[e.rank][e.op_index];
+  for (const auto& e : run.executed) ++seen[e.rank][e.op_index];
   for (int r = 0; r < kRanks; ++r)
     for (int k = 0; k < kOpsPerRank; ++k)
       EXPECT_EQ(seen[r][k], 1) << "rank " << r << " op " << k << " executed "
-                               << seen[r][k] << " times under the fair drain";
+                               << seen[r][k] << " times";
 
-  // FIFO within one (channel, priority): each rank submits on one channel
-  // in increasing op order, so per (rank, class) the execution log must be
-  // increasing under both drains.
-  for (const RunResult* run : {&strict, &fair}) {
-    std::vector<int> last_control(kRanks, -1), last_bulk(kRanks, -1);
-    for (const auto& e : run->executed) {
-      auto& last = e.prio == Priority::control ? last_control : last_bulk;
-      EXPECT_LT(last[e.rank], e.op_index)
-          << "FIFO violated for rank " << e.rank << " ("
-          << (e.prio == Priority::control ? "control" : "bulk") << ")";
-      last[e.rank] = e.op_index;
-    }
+  // Each rank submits in increasing op order, so per (rank, class) the
+  // execution log must be increasing.
+  std::vector<int> last_control(kRanks, -1), last_bulk(kRanks, -1);
+  for (const auto& e : run.executed) {
+    auto& last = e.prio == Priority::control ? last_control : last_bulk;
+    EXPECT_LT(last[e.rank], e.op_index)
+        << "FIFO violated for rank " << e.rank << " ("
+        << (e.prio == Priority::control ? "control" : "bulk") << ")";
+    last[e.rank] = e.op_index;
   }
 }
 
-TEST(IkcFairnessProperty, EqualWeightsEquivalentToStrictDrain) {
+TEST(IkcFairnessProperty, EqualWeightsMatchScriptOracle) {
   const std::uint64_t seed = harness_seed();
   SCOPED_TRACE(::testing::Message() << "PD_PROPERTY_SEED=" << seed);
   const auto scripts = make_scripts(seed);
-
-  const RunResult strict = run_stream(scripts, /*fair_drain=*/false);
-  const RunResult fair = run_stream(scripts, /*fair_drain=*/true);
-  expect_semantic_equivalence(strict, fair);
+  expect_matches_script(run_stream(scripts), scripts);
 }
 
-TEST(IkcFairnessProperty, SingleTenantClaimOrderIsIdentical) {
+TEST(IkcFairnessProperty, SingleTenantBatchesClaimControlBeforeBulk) {
   // One tenant funneled onto one ring: every head carries the same job, so
-  // head-only claiming in (vtime, class, age) order collapses to
-  // class-then-FIFO — byte-identical to the strict drain's claim order,
-  // the degenerate case the scheduler comments pin. Compare the execution
-  // logs entry by entry. Collection must be atomic (zero lock / remote
-  // costs) for exact order equality: see run_stream's doc comment for the
-  // mid-collection control-arrival race the fair drain wins by one batch.
+  // the (vtime, class, age) key reduces to class, then age. Inside each
+  // drained batch no control request may run after a bulk request.
+  // Collection must be atomic (zero lock / remote costs): see run_stream's
+  // doc comment for the mid-collection control arrival.
   const std::uint64_t seed = harness_seed() ^ 0x51;
   SCOPED_TRACE(::testing::Message() << "PD_PROPERTY_SEED=" << seed);
   const auto scripts = make_scripts(seed);
+  const RunResult run = run_stream(scripts, /*shared_channel=*/0, /*single_job=*/true,
+                                   /*atomic_collect=*/true);
+  expect_matches_script(run, scripts);
 
-  const RunResult strict =
-      run_stream(scripts, /*fair_drain=*/false, /*shared_channel=*/0, /*single_job=*/true,
-                 /*atomic_collect=*/true);
-  const RunResult fair =
-      run_stream(scripts, /*fair_drain=*/true, /*shared_channel=*/0, /*single_job=*/true,
-                 /*atomic_collect=*/true);
-  expect_semantic_equivalence(strict, fair);
-
-  ASSERT_EQ(strict.executed.size(), fair.executed.size());
-  for (std::size_t i = 0; i < strict.executed.size(); ++i) {
-    const auto& s = strict.executed[i];
-    const auto& f = fair.executed[i];
-    EXPECT_TRUE(s.rank == f.rank && s.op_index == f.op_index && s.prio == f.prio)
-        << "claim order diverged at position " << i << ": strict (rank " << s.rank
-        << ", op " << s.op_index << ") vs fair (rank " << f.rank << ", op "
-        << f.op_index << ")";
+  std::set<std::uint64_t> batches, with_bulk, mixed;  // batch ids
+  for (const auto& e : run.executed) {
+    batches.insert(e.batch);
+    if (e.prio == Priority::bulk) {
+      with_bulk.insert(e.batch);
+      continue;
+    }
+    EXPECT_EQ(with_bulk.count(e.batch), 0u)
+        << "control request (rank " << e.rank << ", op " << e.op_index
+        << ") ran after a bulk request in batch " << e.batch;
   }
+  for (const auto& e : run.executed)
+    if (e.prio == Priority::control && with_bulk.count(e.batch) != 0) mixed.insert(e.batch);
+  // The order check must have something to bite on: several batches, and
+  // some of them carrying both classes.
+  EXPECT_GT(batches.size(), 1u);
+  EXPECT_GT(mixed.size(), 0u);
 }
 
-TEST(IkcFairnessProperty, FairAndStrictCompleteIdenticalPerJobSets) {
+TEST(IkcFairnessProperty, CompletionSetsMatchScript) {
   const std::uint64_t seed = harness_seed() ^ 0xB2;
   SCOPED_TRACE(::testing::Message() << "PD_PROPERTY_SEED=" << seed);
   const auto scripts = make_scripts(seed);
+  const RunResult run = run_stream(scripts);
 
-  const RunResult strict = run_stream(scripts, /*fair_drain=*/false);
-  const RunResult fair = run_stream(scripts, /*fair_drain=*/true);
-
-  std::set<std::tuple<int, int, int>> strict_set, fair_set;
-  for (const auto& e : strict.executed) strict_set.insert({e.job, e.rank, e.op_index});
-  for (const auto& e : fair.executed) fair_set.insert({e.job, e.rank, e.op_index});
-  EXPECT_EQ(strict_set, fair_set);
-
-  ASSERT_EQ(strict.completed_per_job.size(), fair.completed_per_job.size());
+  std::set<std::tuple<int, int, int>> expected, executed;
+  std::vector<std::uint64_t> expected_completed(kJobs, 0);
+  for (int r = 0; r < kRanks; ++r) {
+    for (int k = 0; k < kOpsPerRank; ++k) {
+      expected.insert({job_of(r, false), r, k});
+      // JobStats counts offloads that returned a result, not EIO.
+      if (!scripts[static_cast<std::size_t>(r)][static_cast<std::size_t>(k)].fail)
+        ++expected_completed[static_cast<std::size_t>(job_of(r, false))];
+    }
+  }
+  for (const auto& e : run.executed) executed.insert({e.job, e.rank, e.op_index});
+  EXPECT_EQ(executed, expected);
   for (int j = 0; j < kJobs; ++j)
-    EXPECT_EQ(strict.completed_per_job[j], fair.completed_per_job[j])
+    EXPECT_EQ(run.completed_per_job[j], expected_completed[j])
         << "job " << j << " completed count diverged";
 }
 
@@ -290,19 +282,18 @@ sim::Task<> stop_after(sim::Engine& eng, Dur horizon, bool& stop) {
 }
 
 TEST(IkcFairnessProperty, WeightsSplitOneLoopsCapacityProportionally) {
-  // Two tenants, both saturating (8 streams each) one service loop, with
-  // drain weights 2:1: the completed-claim ratio must track the weights,
-  // not the (equal) offered load. The batch limit must bind for the claim
-  // *order* to matter at all — an adaptive batch large enough to claim
-  // every queued head each round makes the split demand-bound — so pin a
-  // small static batch and keep both tenants' backlogs deeper than it.
+  // Two tenants, both saturating one service loop, with drain weights 2:1:
+  // the completed-claim ratio must track the weights, not the (equal)
+  // offered load. The batch limit must bind for the claim *order* to
+  // matter at all — a batch large enough to claim every queued head each
+  // round makes the split demand-bound — so a 4-slot ring caps the
+  // adaptive drain limit at 4 while the two tenants keep up to 8 queued.
   os::Config cfg;
   cfg.ikc_mode = os::IkcMode::ring;
   cfg.linux_service_cpus = 1;  // one loop owns every channel
   cfg.ikc_channels = 2;
   cfg.ikc_job_weights = {2.0, 1.0};
-  cfg.ikc_adaptive_batch = false;
-  cfg.ikc_batch = 4;
+  cfg.ikc_ring_depth = 4;
   cfg.ikc_deadline = from_ms(100.0);  // saturation queueing is the point
   sim::Engine engine;
   os::LinuxKernel linux_kernel(engine, cfg);
