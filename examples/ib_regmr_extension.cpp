@@ -119,6 +119,10 @@ int main() {
 
   dwarf::FieldAccessor<std::uint32_t> mtt_used(*binding->layout("mlx_mr_table")
                                                     ->field("mtt_used"));
+  if (!mtt_used.bound()) {
+    std::printf("mtt_used is not a 4-byte field in this module\n");
+    return 1;
+  }
   std::uint32_t fast_entries = 0;
   os::FastPathOps ops;
   ops.ioctl_handles = [](unsigned long cmd) { return cmd == kRegMr; };
