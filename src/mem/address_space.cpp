@@ -139,38 +139,20 @@ Status AddressSpace::munmap(VirtAddr addr, std::uint64_t len) {
   pt_.unmap_range(vma.start, vma.end - vma.start);
   if (!vma.device) release_backing(vma);
   vmas_.erase(it);
-  // Caches validate against the generation, then against the interval log:
-  // only entries whose range overlaps a logged unmap are actually stale.
   ++map_generation_;
-  unmap_log_.push_back(UnmapInterval{vma.start, vma.end, map_generation_});
-  while (unmap_log_.size() > unmap_log_capacity_) {
-    unmap_log_floor_ = unmap_log_.front().generation;
-    unmap_log_.erase(unmap_log_.begin());
-  }
   return Status::success();
 }
 
-void AddressSpace::set_unmap_log_capacity(std::size_t n) {
-  unmap_log_capacity_ = n;
-  while (unmap_log_.size() > unmap_log_capacity_) {
-    unmap_log_floor_ = unmap_log_.front().generation;
-    unmap_log_.erase(unmap_log_.begin());
+bool AddressSpace::range_mapped(VirtAddr va, std::uint64_t len) const {
+  if (len == 0) return false;
+  // VMAs are page aligned, so covering every byte covers every page; hop
+  // from VMA to VMA until the range is covered or a gap shows.
+  for (VirtAddr cur = va; cur < va + len;) {
+    const Vma* vma = find_vma(cur);
+    if (vma == nullptr) return false;
+    cur = vma->end;
   }
-}
-
-RangeVerdict AddressSpace::range_verdict_since(VirtAddr va, std::uint64_t len,
-                                               std::uint64_t generation) const {
-  if (generation >= map_generation_) return RangeVerdict::intact;
-  if (generation < unmap_log_floor_) return RangeVerdict::unknown;
-  // Unmaps are VMA-granular and page aligned; widen the query to page
-  // bounds so a partially covered edge page is never missed.
-  const VirtAddr lo = page_floor(va, kPage4K);
-  const VirtAddr hi = page_ceil(va + len, kPage4K);
-  for (const UnmapInterval& u : unmap_log_) {
-    if (u.generation <= generation) continue;
-    if (u.start < hi && lo < u.end) return RangeVerdict::overlaps_unmap;
-  }
-  return RangeVerdict::intact;
+  return true;
 }
 
 Result<PinnedPages> AddressSpace::get_user_pages(VirtAddr va, std::uint64_t len) {

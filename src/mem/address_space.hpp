@@ -50,24 +50,10 @@ struct PinnedPages {
   std::vector<PhysAddr> frames;
 };
 
-/// One logged munmap, kept so translation caches can invalidate by range
-/// overlap instead of dropping everything on any unmap.
-struct UnmapInterval {
-  VirtAddr start = 0;
-  VirtAddr end = 0;              // exclusive, page aligned
-  std::uint64_t generation = 0;  // map_generation() value after this munmap
-};
-
-/// What the unmap log can prove about a cached range since a generation.
-enum class RangeVerdict {
-  intact,          // no logged unmap since `generation` overlaps the range
-  overlaps_unmap,  // an unmap overlapped it — cached translations are stale
-  unknown,         // the log overflowed past `generation`; must assume stale
-};
-
 class AddressSpace {
  public:
-  /// `mmap_base`: where anonymous mappings are placed (grows upward).
+  /// `mmap_base`: where mappings are placed. The cursor only grows, so a
+  /// virtual range is never handed out again after munmap.
   AddressSpace(PhysMap& phys, BackingPolicy policy, MemKind preferred_kind,
                VirtAddr mmap_base, std::uint64_t rng_seed = 1);
   ~AddressSpace();
@@ -106,27 +92,15 @@ class AddressSpace {
   Status physical_extents(VirtAddr va, std::uint64_t len, std::uint64_t max_extent,
                           std::vector<PhysExtent>& out) const;
 
-  /// Monotone counter bumped by every munmap(); cached translations (see
-  /// ExtentCache) are valid only while the generation they were filled at
-  /// still matches — or while the unmap log can prove their range untouched.
+  /// Monotone counter bumped by every munmap(); a cached translation (see
+  /// ExtentCache) filled at the current generation needs no further check.
   std::uint64_t map_generation() const { return map_generation_; }
 
-  /// Range-precise staleness check (the PSM2-TID-cache refinement): can a
-  /// translation of [va, va+len) cached at `generation` still be trusted?
-  /// Consults the bounded unmap-interval log; once the log has dropped
-  /// intervals newer than `generation` the answer degrades to `unknown`
-  /// (the whole-address-space generation fallback).
-  RangeVerdict range_verdict_since(VirtAddr va, std::uint64_t len,
-                                   std::uint64_t generation) const;
-
-  /// Unmap intervals retained before falling back to the global generation.
-  /// 0 degrades to PR-1 behaviour: every munmap invalidates everything.
-  static constexpr std::size_t kDefaultUnmapLogCapacity = 32;
-  void set_unmap_log_capacity(std::size_t n);
-  std::size_t unmap_log_capacity() const { return unmap_log_capacity_; }
-  std::size_t unmap_log_size() const { return unmap_log_.size(); }
-  /// Generation at (and below) which log information has been dropped.
-  std::uint64_t unmap_log_floor() const { return unmap_log_floor_; }
+  /// Whether every page of [va, va+len) lies in a live VMA. Exact proof
+  /// that a translation cached at any earlier generation is still valid:
+  /// mmap never hands out a virtual address twice (the cursor only grows),
+  /// so a page that is mapped now still maps the frame it was cached with.
+  bool range_mapped(VirtAddr va, std::uint64_t len) const;
 
   const Vma* find_vma(VirtAddr va) const;
   std::size_t vma_count() const { return vmas_.size(); }
@@ -153,11 +127,6 @@ class AddressSpace {
   VirtAddr mmap_cursor_;
   Rng rng_;
   std::uint64_t map_generation_ = 0;
-
-  // Bounded log of recent unmaps, oldest first; overflow raises the floor.
-  std::vector<UnmapInterval> unmap_log_;
-  std::size_t unmap_log_capacity_ = kDefaultUnmapLogCapacity;
-  std::uint64_t unmap_log_floor_ = 0;
 
   std::map<VirtAddr, Vma> vmas_;                         // keyed by start
   std::map<VirtAddr, std::vector<Backing>> backings_;    // keyed by VMA start

@@ -1,8 +1,11 @@
 #include "src/mem/extent_cache.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace pd::mem {
+
+ExtentCache::ExtentCache(std::size_t capacity) : capacity_(capacity) { assert(capacity_ > 0); }
 
 ExtentCache::Entry* ExtentCache::select_victim() {
   // Pinned entries are in-flight (a send is mid-way through a rendezvous
@@ -70,47 +73,22 @@ Result<std::span<const PhysExtent>> ExtentCache::lookup(const AddressSpace& as, 
                                                         std::uint64_t max_extent,
                                                         Outcome* outcome) {
   ++tick_;
-
-  if (capacity_ == 0) {
-    // Pass-through: walk into the scratch entry's storage, retain nothing.
-    Status walked = as.physical_extents(va, len, max_extent, scratch_.extents);
-    if (!walked.ok()) return walked.error();
-    ++stats_.misses;
-    if (outcome != nullptr) *outcome = Outcome::miss;
-    return std::span<const PhysExtent>(scratch_.extents);
-  }
-
   Entry* entry = find_entry(va, len, max_extent);
-
-  Outcome miss_kind = Outcome::miss;
-  if (entry != nullptr) {
-    bool fresh = entry->generation == as.map_generation();
-    if (!fresh) {
-      // Range-precise check: only an unmap overlapping this entry's pages
-      // proves it stale. When the log can clear it, refresh the generation
-      // so the next lookup takes the cheap equality path again.
-      switch (as.range_verdict_since(entry->va, entry->len, entry->generation)) {
-        case RangeVerdict::intact:
-          entry->generation = as.map_generation();
-          fresh = true;
-          break;
-        case RangeVerdict::overlaps_unmap:
-          miss_kind = Outcome::range_invalidated;
-          break;
-        case RangeVerdict::unknown:
-          miss_kind = Outcome::generation_overflow;
-          break;
-      }
-    }
-    if (fresh) {
-      ++stats_.hits;
-      ++entry->hit_count;
-      entry->last_used = tick_;
-      if (outcome != nullptr) *outcome = Outcome::hit;
-      return std::span<const PhysExtent>(entry->extents);
-    }
+  if (entry != nullptr &&
+      (entry->generation == as.map_generation() || as.range_mapped(va, len))) {
+    // Still mapped, so still backed by the frames it was cached with.
+    // Refresh the generation so the next lookup takes the equality path.
+    entry->generation = as.map_generation();
+    ++stats_.hits;
+    ++entry->hit_count;
+    entry->last_used = tick_;
+    if (outcome != nullptr) *outcome = Outcome::hit;
+    return std::span<const PhysExtent>(entry->extents);
   }
 
+  // A known entry whose range is no longer mapped falls through to the
+  // re-walk below, which faults and drops it.
+  Outcome miss_kind = Outcome::miss;
   if (entry == nullptr) {
     if (entries_.size() < capacity_) {
       entry = &entries_.emplace_back();
@@ -132,31 +110,16 @@ Result<std::span<const PhysExtent>> ExtentCache::lookup(const AddressSpace& as, 
 
   Status walked = as.physical_extents(va, len, max_extent, entry->extents);
   if (!walked.ok()) {
-    // Keep the slot but poison the key so a later success does not alias.
-    // Any pin dies with the key: the holder's unpin will no-op, and a
-    // stranded pin must not block eviction of a now-meaningless slot.
-    entry->va = 0;
-    entry->len = 0;
-    entry->hit_count = 0;
-    entry->pin_count = 0;
+    // Drop the slot: a kept slot would hold the failed walk's partial
+    // extents under some key a later lookup could match. Any pin dies
+    // with it; the holder's unpin() finds nothing and no-ops.
+    if (entry != &entries_.back()) *entry = std::move(entries_.back());
+    entries_.pop_back();
     return walked.error();
   }
   entry->generation = as.map_generation();
   entry->last_used = tick_;
-  switch (miss_kind) {
-    case Outcome::miss:
-    case Outcome::evicted_small:
-      ++stats_.misses;
-      break;
-    case Outcome::range_invalidated:
-      ++stats_.range_invalidations;
-      break;
-    case Outcome::generation_overflow:
-      ++stats_.generation_overflows;
-      break;
-    case Outcome::hit:
-      break;  // unreachable
-  }
+  ++stats_.misses;
   if (outcome != nullptr) *outcome = miss_kind;
   return std::span<const PhysExtent>(entry->extents);
 }

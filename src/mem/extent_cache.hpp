@@ -7,14 +7,14 @@
 // walk once. ExtentCache memoizes `physical_extents` results per
 // (va, len, max_extent) key.
 //
-// Invalidation is range-precise: a stale generation alone does not kill an
-// entry. The address space keeps a bounded log of recently unmapped
-// intervals, and an entry is re-walked only when its range actually
-// overlaps a logged unmap (`Outcome::range_invalidated`) or when the log
-// has overflowed past the entry's generation and nothing can be proven
-// (`Outcome::generation_overflow` — the conservative whole-space fallback).
-// Either way a stale entry can never hand out frames that were returned to
-// the allocator.
+// Validation is exact: a stale generation alone does not kill an entry.
+// When the address space's map generation has moved since the fill, the
+// entry is still a hit if every page of its range lies in a live VMA
+// (AddressSpace::range_mapped) — the address space never hands a virtual
+// range out twice, so a mapped page still maps the frame it was cached
+// with. Otherwise the range was unmapped: the lookup re-walks, the walk
+// faults, and the slot is dropped. A cached entry can therefore never hand
+// out frames that were returned to the allocator.
 //
 // Eviction is size-aware: entries are scored by hit_count × resident
 // bytes, decayed by LRU age, so the large persistent windows PSM registers
@@ -37,40 +37,32 @@ class ExtentCache {
  public:
   struct Stats {
     std::uint64_t hits = 0;
-    std::uint64_t misses = 0;                // key never seen (cold)
-    std::uint64_t range_invalidations = 0;   // a logged unmap overlapped the entry
-    std::uint64_t generation_overflows = 0;  // log overflowed; assumed stale
-    std::uint64_t evictions = 0;             // entries pushed out at capacity
-
-    /// All re-walks of a known key, whatever proved it stale.
-    std::uint64_t invalidations() const {
-      return range_invalidations + generation_overflows;
-    }
+    std::uint64_t misses = 0;     // key not cached (cold, or evicted earlier)
+    std::uint64_t evictions = 0;  // entries pushed out at capacity
   };
 
   /// What one lookup() did. `evicted_small` is a cold miss that had to push
   /// out the lowest-retention-value (the small/transient) entry to make room.
-  enum class Outcome { hit, miss, range_invalidated, generation_overflow, evicted_small };
+  enum class Outcome { hit, miss, evicted_small };
 
-  explicit ExtentCache(std::size_t capacity = 64) : capacity_(capacity) {}
+  /// `capacity` > 0: entries retained before eviction.
+  explicit ExtentCache(std::size_t capacity = 64);
 
   /// Resolve [va, va+len) against `as`. On a hit the cached runs are
-  /// returned without touching the page table; on a miss (or when the
-  /// range was — or may have been — unmapped since the entry was filled)
-  /// the walk re-runs into the entry's storage, reusing its capacity. With
-  /// `capacity == 0` the cache degrades to pass-through: every lookup is a
-  /// fresh walk into scratch storage and nothing is retained. The returned
-  /// span is valid until the next lookup() on this cache.
+  /// returned without touching the page table; on a miss the walk runs
+  /// into a slot's storage, reusing its capacity. A walk that fails leaves
+  /// nothing cached. The returned span is valid until the next lookup() on
+  /// this cache.
   Result<std::span<const PhysExtent>> lookup(const AddressSpace& as, VirtAddr va,
                                              std::uint64_t len, std::uint64_t max_extent,
                                              Outcome* outcome = nullptr);
 
   /// Pin the entry for this key so eviction never selects it — for
   /// in-flight rendezvous windows that must stay resident for the duration
-  /// of a send. Returns false when the key is not cached (capacity 0, or
-  /// never looked up): nothing to protect, nothing to unpin. Pins nest;
-  /// when every entry is pinned a cold miss temporarily overflows capacity
-  /// instead of killing a window, and unpin() shrinks back.
+  /// of a send. Returns false when the key is not cached: nothing to
+  /// protect, nothing to unpin. Pins nest; when every entry is pinned a
+  /// cold miss temporarily overflows capacity instead of killing a window,
+  /// and unpin() shrinks back.
   bool pin(VirtAddr va, std::uint64_t len, std::uint64_t max_extent);
   void unpin(VirtAddr va, std::uint64_t len, std::uint64_t max_extent);
   std::size_t pinned_entries() const;
@@ -101,7 +93,6 @@ class ExtentCache {
   std::size_t capacity_;
   std::uint64_t tick_ = 0;
   std::vector<Entry> entries_;  // few entries; linear scan beats hashing
-  Entry scratch_;               // pass-through storage when capacity_ == 0
   Stats stats_;
 };
 

@@ -16,20 +16,16 @@ constexpr std::uint64_t kPartitionStride = 1ull << 31;  // 2 GiB per slice
 }  // namespace
 
 KernelHeap::KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy,
-                       PhysAddr heap_base, bool slab_enabled)
-    : KernelHeap(std::move(owned_cpus), policy, NumaTopology(), PartitionBudget{},
-                 PlacementPolicy::flat, heap_base, slab_enabled) {}
+                       PhysAddr heap_base)
+    : KernelHeap(std::move(owned_cpus), policy, NumaTopology(), PartitionBudget{}, heap_base) {}
 
 KernelHeap::KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy,
-                       NumaTopology topo, PartitionBudget budget, PlacementPolicy placement,
-                       PhysAddr heap_base, bool slab_enabled)
+                       NumaTopology topo, PartitionBudget budget, PhysAddr heap_base)
     : owned_cpus_(std::move(owned_cpus)),
       policy_(policy),
       topo_(topo),
       budget_(budget),
-      placement_(placement),
-      heap_base_(heap_base),
-      slab_enabled_(slab_enabled) {
+      heap_base_(heap_base) {
   for (int cpu : owned_cpus_) magazines_[cpu];  // one magazine set per core
   near_arenas_.resize(static_cast<std::size_t>(topo_.sockets()));
   far_arenas_.resize(static_cast<std::size_t>(topo_.sockets()));
@@ -66,17 +62,13 @@ bool KernelHeap::carve_from(Arena& arena, std::uint64_t budget, std::uint64_t ca
 
 Result<PhysAddr> KernelHeap::carve(std::uint64_t capacity, int cpu, int* socket_out,
                                    bool* near_out) {
-  const int caller_socket = topo_.socket_of(cpu);
-  const int home = placement_ == PlacementPolicy::numa_aware ? caller_socket : 0;
+  const int home = topo_.socket_of(cpu);
   PhysAddr addr = 0;
   if (carve_from(near_arenas_[static_cast<std::size_t>(home)], budget_.near_bytes, capacity,
                  &addr)) {
     *socket_out = home;
     *near_out = true;
-    // Under flat placement a caller on another socket still lands in
-    // socket 0's partition: that is a remote placement, not a near one.
-    if (home == caller_socket) ++stats_.near_allocs;
-    else ++stats_.far_allocs;
+    ++stats_.near_allocs;
     return addr;
   }
   ++stats_.partition_exhausted;
@@ -114,7 +106,7 @@ Result<PhysAddr> KernelHeap::kmalloc(std::uint64_t size, int cpu) {
   if (!owns_cpu(cpu)) return Errno::eperm;
 
   const std::size_t cls = class_for(size);
-  if (slab_enabled_ && cls < kSizeClasses.size()) {
+  if (cls < kSizeClasses.size()) {
     auto& magazine = magazines_[cpu][cls];
     if (!magazine.empty()) {
       const PhysAddr addr = magazine.back();
@@ -141,7 +133,7 @@ Result<PhysAddr> KernelHeap::kmalloc(std::uint64_t size, int cpu) {
   std::memset(block.bytes.get(), 0, block.capacity);
 
   // Magazine refill / cold path: the address (the simulated placement)
-  // comes from the calling CPU's partition under numa_aware.
+  // comes from the calling CPU's partition.
   auto addr = carve(block.capacity, cpu, &block.arena_socket, &block.arena_near);
   if (!addr.ok()) return addr.error();
   blocks_.emplace(*addr, std::move(block));
@@ -154,7 +146,7 @@ Result<PhysAddr> KernelHeap::kmalloc(std::uint64_t size, int cpu) {
 
 void KernelHeap::park_on_magazine(PhysAddr addr, Block& block) {
   const std::size_t cls = class_for(block.capacity);
-  if (slab_enabled_ && cls < kSizeClasses.size() && owns_cpu(block.owner_cpu)) {
+  if (cls < kSizeClasses.size() && owns_cpu(block.owner_cpu)) {
     block.state = BlockState::parked;
     magazines_[block.owner_cpu][cls].push_back(addr);
     ++stats_.slab_recycles;
@@ -220,21 +212,14 @@ std::size_t KernelHeap::drain_remote_frees(int cpu) {
     ++drained;
     return true;
   };
-  if (placement_ == PlacementPolicy::numa_aware && topo_.sockets() > 1) {
-    // One pass per source socket: all blocks a socket's CPUs freed come
-    // back as one coalesced batch, so a completion-heavy queue costs one
-    // cross-socket reclaim event per socket instead of one per block.
-    for (int s = 0; s < topo_.sockets(); ++s) {
-      bool any = false;
-      for (const RemoteFree& rf : pending)
-        if (rf.source_socket == s && reclaim(rf)) any = true;
-      if (any && s != owner_socket) ++stats_.cross_socket_drains;
-    }
-  } else {
-    // Placement-ignorant drain: entries are reclaimed in FIFO order and
-    // every remote-socket block is its own cross-socket event.
+  // One pass per source socket: all blocks a socket's CPUs freed come back
+  // as one coalesced batch, so a completion-heavy queue costs one
+  // cross-socket reclaim event per socket instead of one per block.
+  for (int s = 0; s < topo_.sockets(); ++s) {
+    bool any = false;
     for (const RemoteFree& rf : pending)
-      if (reclaim(rf) && rf.source_socket != owner_socket) ++stats_.cross_socket_drains;
+      if (rf.source_socket == s && reclaim(rf)) any = true;
+    if (any && s != owner_socket) ++stats_.cross_socket_drains;
   }
   pending.clear();
   return drained;

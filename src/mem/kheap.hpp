@@ -16,16 +16,13 @@
 //
 // Cold allocations are placement-aware: a NumaTopology maps each CPU to a
 // socket, and each socket owns a near (MCDRAM-like) and a far (DDR-like)
-// address partition with a byte budget. Under PlacementPolicy::numa_aware
-// the cold path carves from the calling CPU's near partition, falling back
-// to the same socket's far partition when the near budget is exhausted
-// (then to any other socket's partitions before giving up). Under ::flat
-// every cold allocation lands in socket 0's partitions regardless of
-// caller — the placement-ignorant pre-NUMA behaviour, kept for before/
-// after benching. The drain side batches the remote-free queue per source
-// socket: one pass per socket, so a queue full of Linux-side completion
-// frees costs one cross-socket reclaim event per source socket instead of
-// one per block.
+// address partition with a byte budget. The cold path carves from the
+// calling CPU's near partition, falling back to the same socket's far
+// partition when the near budget is exhausted (then to any other socket's
+// partitions before giving up). The drain side batches the remote-free
+// queue per source socket: one pass per socket, so a queue full of
+// Linux-side completion frees costs one cross-socket reclaim event per
+// source socket instead of one per block.
 //
 // Every block moves through an explicit free-path state machine,
 // live → queued → parked: a block foreign-freed onto the remote queue is
@@ -60,12 +57,6 @@ enum class ForeignFreePolicy {
   remote_queue,  // PicoDriver extension: enqueue for the owning core
 };
 
-/// Where cold allocations land relative to the calling CPU's socket.
-enum class PlacementPolicy {
-  flat,        // everything carves from socket 0's partitions (pre-NUMA)
-  numa_aware,  // carve from the caller's near partition, far on exhaustion
-};
-
 /// Per-socket arena byte budgets (the partition capacity model). The
 /// defaults are effectively unbounded — tests and benches shrink them to
 /// exercise the far-fallback path.
@@ -88,11 +79,10 @@ class KernelHeap {
     std::uint64_t host_allocs = 0;     // kmalloc that had to touch the host heap
     // --- placement outcomes (cold path only) -----------------------------
     std::uint64_t near_allocs = 0;          // carved from the caller's near partition
-    std::uint64_t far_allocs = 0;           // DDR fallback or placement-ignorant/remote
+    std::uint64_t far_allocs = 0;           // DDR fallback or another socket's slice
     std::uint64_t partition_exhausted = 0;  // a near budget could not satisfy a carve
-    // Cross-socket reclaim events during drain: per *block* under flat
-    // placement (every remote entry is its own cache-line pull), per
-    // *source-socket batch* under numa_aware (the drain coalesces).
+    // Cross-socket reclaim events during drain: one per remote source
+    // socket per drain (the drain coalesces each socket's blocks).
     std::uint64_t cross_socket_drains = 0;
     // --- elastic ownership (adopt_cpu / release_cpu) ---------------------
     std::uint64_t cpu_adoptions = 0;   // cores added to the owned set
@@ -107,18 +97,14 @@ class KernelHeap {
 
   /// `owned_cpus`: logical CPU ids this kernel's allocator may run on.
   /// `heap_base`: simulated physical base of the heap arenas.
-  /// `slab_enabled`: turn the per-core magazines off to model the original
-  /// map-per-block allocator (used by the before/after bench).
-  /// The flat-topology constructor keeps the pre-NUMA behaviour: one
-  /// socket, unbounded partitions, placement-ignorant.
+  /// This form has one socket and unbounded partitions.
   KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy,
-             PhysAddr heap_base = 0x0000'00F0'0000'0000ull, bool slab_enabled = true);
+             PhysAddr heap_base = 0x0000'00F0'0000'0000ull);
 
-  /// NUMA-aware form: `topo` maps every CPU on the node (owned and
-  /// foreign) to a socket, `budget` bounds each socket's partitions.
+  /// NUMA form: `topo` maps every CPU on the node (owned and foreign) to a
+  /// socket, `budget` bounds each socket's partitions.
   KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy, NumaTopology topo,
-             PartitionBudget budget, PlacementPolicy placement,
-             PhysAddr heap_base = 0x0000'00F0'0000'0000ull, bool slab_enabled = true);
+             PartitionBudget budget, PhysAddr heap_base = 0x0000'00F0'0000'0000ull);
 
   /// Allocate `size` bytes on behalf of `cpu` (must be an owned CPU).
   /// Returns the simulated physical address of the block.
@@ -161,7 +147,6 @@ class KernelHeap {
   std::size_t magazine_depth(int cpu) const;
 
   const NumaTopology& topology() const { return topo_; }
-  PlacementPolicy placement() const { return placement_; }
   /// Bytes carved so far from a socket's near / far partition.
   std::uint64_t near_used(int socket) const;
   std::uint64_t far_used(int socket) const;
@@ -204,9 +189,7 @@ class KernelHeap {
   ForeignFreePolicy policy_;
   NumaTopology topo_;
   PartitionBudget budget_;
-  PlacementPolicy placement_;
   PhysAddr heap_base_;
-  bool slab_enabled_;
   std::size_t live_blocks_ = 0;
   std::vector<Arena> near_arenas_;  // one per socket
   std::vector<Arena> far_arenas_;

@@ -179,8 +179,8 @@ struct Config {
   // --- PicoDriver-side costs --------------------------------------------
   Dur pico_bind_cost = from_us(150);       // per-rank kernel-mapping setup
   Dur pico_lock_acquire = from_ns(60);     // shared spin-lock hand-off
-  // Extent-cache hit: validate the generation + copy cached runs, instead
-  // of the per-page table walk (registration-cache amortization, §3.4).
+  // Extent-cache hit: validate the entry + copy cached runs, instead of
+  // the per-page table walk (registration-cache amortization, §3.4).
   Dur pico_extent_cache_hit = from_ns(25);
   // Ring-full wait under the engine lock: bounded exponential backoff,
   // then give the lock up and fall back to the Linux writev path instead
@@ -243,8 +243,9 @@ struct Config {
   Dur psm_wait_sleep = from_ns(400);         // kernel visit inside MPI_Wait
 
   // --- hardware ----------------------------------------------------------
-  std::uint64_t linux_sdma_desc_bytes = 4096;   // PAGE_SIZE cap (paper §3.4)
-  std::uint64_t pico_sdma_desc_bytes = 10240;   // hardware max exploited
+  // The Linux driver caps descriptors at one 4 KiB page (paper §3.4); the
+  // fast path builds them up to the hardware's maximum.
+  std::uint64_t pico_sdma_desc_bytes = 10240;
 
   /// Construction-time sanity check. A Config that selects the ring
   /// transport but reserves no Linux service CPUs used to surface only

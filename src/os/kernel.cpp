@@ -61,7 +61,6 @@ LinuxKernel::LinuxKernel(sim::Engine& engine, const Config& cfg, int node)
   kheap_ = std::make_unique<mem::KernelHeap>(
       std::move(cpus), mem::ForeignFreePolicy::remote_queue, topo,
       mem::PartitionBudget{cfg.kheap_near_bytes, cfg.kheap_far_bytes},
-      mem::PlacementPolicy::numa_aware,
       /*heap_base=*/0x0000'00F8'0000'0000ull);
   service_cpu_count_ = cfg.linux_service_cpus;
 }

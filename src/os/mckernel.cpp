@@ -27,9 +27,6 @@ McKernel::McKernel(sim::Engine& engine, const Config& cfg, Ihk& ihk, bool unifie
       // on foreign CPUs.
       unified_ ? mem::ForeignFreePolicy::remote_queue : mem::ForeignFreePolicy::fail,
       topo, mem::PartitionBudget{cfg.kheap_near_bytes, cfg.kheap_far_bytes},
-      // NUMA-aware placement rides with the PicoDriver extension too; the
-      // original allocator stays placement-ignorant.
-      unified_ ? mem::PlacementPolicy::numa_aware : mem::PlacementPolicy::flat,
       /*heap_base=*/0x0000'00F0'0000'0000ull);
 }
 

@@ -43,9 +43,9 @@ class SyscallProfiler {
   /// --- named event counters ----------------------------------------------
   /// Untimed occurrence counts (cache hits, slab reuses, fallbacks, ...).
   /// The fast path exports one counter per extent-cache lookup outcome
-  /// ("pico.extent_cache.hit/miss/range_invalidated/generation_overflow/
-  /// evicted_small"), so sum_counters("pico.extent_cache.") — minus the
-  /// eviction events, which ride along with their miss — totals the lookups.
+  /// ("pico.extent_cache.hit/miss/evicted_small"), so
+  /// sum_counters("pico.extent_cache.") — minus the eviction events, which
+  /// ride along with their miss — totals the lookups.
   void bump(const std::string& name, std::uint64_t n = 1) { counters_[name] += n; }
   std::uint64_t counter(const std::string& name) const;
   /// Sum of every counter whose name starts with `prefix`.

@@ -50,13 +50,8 @@ DoomPicoDriver::DoomPicoDriver(PicoBinding binding, os::McKernel& mck,
   ctx_dva_next_ = dwarf::FieldAccessor<std::uint64_t>(*ctx->field("dva_next"));
   ctx_batches_submitted_ =
       dwarf::FieldAccessor<std::uint64_t>(*ctx->field("batches_submitted"));
-}
-
-doom::DoomRunState DoomPicoDriver::run_state() const {
-  // Unified direct map: the LWK dereferences the Linux kmalloc'd image.
-  auto bytes = driver_.linux_kernel().kheap().data(driver_.devdata_image());
-  assert(!bytes.empty());
-  return static_cast<doom::DoomRunState>(ring_run_state_.read(bytes.data()));
+  dev_image_size_ = dev->byte_size;
+  ctx_image_size_ = ctx->byte_size;
 }
 
 sim::Task<Result<long>> DoomPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long cmd,
@@ -81,7 +76,12 @@ sim::Task<Result<long>> DoomPicoDriver::fast_submit(os::OpenFile& f,
   // Scheduler-tick housekeeping piggybacked on fast-path entry.
   piggyback_drain();
 
-  if (run_state() != doom::DoomRunState::running) {
+  // Unified direct map: the LWK dereferences the Linux kmalloc'd images.
+  auto dev_bytes = image(driver_.devdata_image(), dev_image_size_);
+  auto ctx_bytes = image(driver_.ctx_image(f), ctx_image_size_);
+  if (dev_bytes.empty() || ctx_bytes.empty()) co_return Errno::einval;
+  if (static_cast<doom::DoomRunState>(ring_run_state_.read(dev_bytes.data())) !=
+      doom::DoomRunState::running) {
     // Device parked (fault or reset in progress): the Linux path owns the
     // error protocol — fall back and let it return EIO / recover.
     count_fallback();
@@ -92,9 +92,6 @@ sim::Task<Result<long>> DoomPicoDriver::fast_submit(os::OpenFile& f,
   mem::AddressSpace& as = proc.as();
   hw::DoomDevice& device = driver_.device();
   const std::uint64_t max_pte = device.config().max_pte_bytes;
-
-  auto ctx_bytes = driver_.linux_kernel().kheap().data(driver_.ctx_image(f));
-  if (ctx_bytes.empty()) co_return Errno::einval;
 
   // Translate each source buffer through the per-file extent cache and
   // program one PTE per physically contiguous extent — the §3.4 win over
@@ -219,7 +216,6 @@ sim::Task<Result<long>> DoomPicoDriver::fast_submit(os::OpenFile& f,
 
   // Cross-kernel shared state: the same fence-sequence and submit counters
   // the Linux driver maintains, through extracted offsets.
-  auto dev_bytes = driver_.linux_kernel().kheap().data(driver_.devdata_image());
   const std::uint64_t fence = dev_fence_seq_.read(dev_bytes.data()) + 1;
   dev_fence_seq_.write(dev_bytes.data(), fence);
   dev_cmds_submitted_.write(dev_bytes.data(),
@@ -257,9 +253,9 @@ sim::Task<Result<long>> DoomPicoDriver::fast_submit(os::OpenFile& f,
        transient_moved = std::move(transient), transient_entries] {
         for (const auto& [dva, len] : transient_moved)
           (void)self->driver_.device().unmap_range(hw_ctxt, dva, len);
-        auto bytes = lnx->kheap().data(ctxdata_addr);
-        self->ctx_pt_used_.write(bytes.data(),
-                                 self->ctx_pt_used_.read(bytes.data()) - transient_entries);
+        if (auto bytes = self->image(ctxdata_addr, self->ctx_image_size_); !bytes.empty())
+          self->ctx_pt_used_.write(bytes.data(),
+                                   self->ctx_pt_used_.read(bytes.data()) - transient_entries);
         Status st = mck->kheap().kfree(meta_addr, lnx->current_irq_cpu());
         assert(st.ok());
         (void)st;

@@ -21,8 +21,9 @@
 //
 // Every driver structure it touches (doom_devdata and its embedded
 // doom_ringstate, per-open doom_ctx) is read and written through
-// DWARF-extracted offsets only; the fence-sequence counter and the dva
-// allocator cursor are image fields shared with the Linux path.
+// DWARF-extracted offsets only, on images fetched through
+// FastPathPort::image(); the fence-sequence counter and the dva allocator
+// cursor are image fields shared with the Linux path.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +68,6 @@ class DoomPicoDriver final : public FastPathPort {
            ctx_pt_used_.bound() && ctx_dva_next_.bound() && ctx_batches_submitted_.bound();
   }
 
-  /// Device run state through extracted offsets (doom_devdata.ring is the
-  /// embedded doom_ringstate).
-  doom::DoomRunState run_state() const;
-
   doom::DoomDriver& driver_;
 
   dwarf::FieldAccessor<std::uint64_t> dev_fence_seq_;
@@ -79,6 +76,9 @@ class DoomPicoDriver final : public FastPathPort {
   dwarf::FieldAccessor<std::uint64_t> ctx_pt_used_;
   dwarf::FieldAccessor<std::uint64_t> ctx_dva_next_;
   dwarf::FieldAccessor<std::uint64_t> ctx_batches_submitted_;
+  // Declared byte sizes of the images the accessors above read (image()).
+  std::uint64_t dev_image_size_ = 0;
+  std::uint64_t ctx_image_size_ = 0;
 
   BufferArena<hw::DoomCommand> cmd_arena_;
 

@@ -31,6 +31,11 @@ void FastPathPort::install(os::CharDevice& dev, os::FastPathOps ops) {
   mck_.register_fastpath(dev, std::move(ops));
 }
 
+std::span<std::uint8_t> FastPathPort::image(mem::PhysAddr addr, std::uint64_t byte_size) const {
+  const std::span<std::uint8_t> bytes = binding_.linux_kernel().kheap().data(addr);
+  return bytes.size() >= byte_size ? bytes : std::span<std::uint8_t>{};
+}
+
 sim::Task<> FastPathPort::rank_init() {
   // McKernel-side establishment of kernel mappings of driver internals —
   // the added MPI_Init cost the paper reports (Table 1, italic rows).
@@ -108,14 +113,6 @@ void FastPathPort::note_cache_outcome(mem::ExtentCache::Outcome outcome) {
       ++cache_small_evictions_;
       mck_.profiler().bump("pico.extent_cache.miss");
       mck_.profiler().bump("pico.extent_cache.evicted_small");
-      break;
-    case mem::ExtentCache::Outcome::range_invalidated:
-      ++cache_range_invalidations_;
-      mck_.profiler().bump("pico.extent_cache.range_invalidated");
-      break;
-    case mem::ExtentCache::Outcome::generation_overflow:
-      ++cache_generation_overflows_;
-      mck_.profiler().bump("pico.extent_cache.generation_overflow");
       break;
   }
 }

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,8 +74,10 @@ class FastPathPort {
   std::uint64_t remote_frees_drained() const { return drained_total_; }
   std::uint64_t extent_cache_hits() const { return cache_hits_; }
   std::uint64_t extent_cache_misses() const { return cache_misses_; }
-  std::uint64_t extent_cache_range_invalidations() const { return cache_range_invalidations_; }
-  std::uint64_t extent_cache_generation_overflows() const { return cache_generation_overflows_; }
+  /// Always 0: a cached range is re-walked only once it is unmapped, and
+  /// that walk faults. Kept for readers of the older per-layer metrics.
+  std::uint64_t extent_cache_range_invalidations() const { return 0; }
+  std::uint64_t extent_cache_generation_overflows() const { return 0; }
   std::uint64_t extent_cache_small_evictions() const { return cache_small_evictions_; }
   /// Whole file caches dropped to keep a process inside
   /// `Config::pico_extent_quota_files` (own-LRU only; see extent_cache_for).
@@ -86,10 +89,6 @@ class FastPathPort {
   /// owned cache; all-pinned overflows the quota until a pin drops).
   std::uint64_t extent_cache_quota_skip_pinned() const {
     return cache_quota_skip_pinned_;
-  }
-  /// All re-walks of a known key, whatever proved it stale.
-  std::uint64_t extent_cache_invalidations() const {
-    return cache_range_invalidations_ + cache_generation_overflows_;
   }
 
  protected:
@@ -106,6 +105,13 @@ class FastPathPort {
 
   /// Install this port's ops as the device's LWK fast path.
   void install(os::CharDevice& dev, os::FastPathOps ops);
+
+  /// Host bytes of the Linux driver's structure image at `addr` — empty
+  /// unless the live block covers `byte_size`, the size the module's debug
+  /// info declares for the structure. A bound accessor stays inside the
+  /// declared structure; this keeps it inside the block the driver
+  /// actually allocated. Fast paths return EINVAL on an empty span.
+  std::span<std::uint8_t> image(mem::PhysAddr addr, std::uint64_t byte_size) const;
 
   /// Scheduler-tick housekeeping piggybacked on fast-path entry: reclaim
   /// blocks the Linux IRQ side queued for our cores.
@@ -151,8 +157,6 @@ class FastPathPort {
   std::uint64_t drained_total_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_range_invalidations_ = 0;
-  std::uint64_t cache_generation_overflows_ = 0;
   std::uint64_t cache_small_evictions_ = 0;
   std::uint64_t cache_file_quota_evictions_ = 0;
   std::uint64_t cache_quota_skip_pinned_ = 0;

@@ -56,13 +56,9 @@ HfiPicoDriver::HfiPicoDriver(PicoBinding binding, os::McKernel& mck, hfi::HfiDri
   fd_engine_idx_ = dwarf::FieldAccessor<std::uint32_t>(*fd->field("sdma_engine_idx"));
   fd_tid_used_ = dwarf::FieldAccessor<std::uint64_t>(*fd->field("tid_used"));
   cd_expected_count_ = dwarf::FieldAccessor<std::uint32_t>(*cd->field("expected_count"));
-}
-
-hfi::SdmaStates HfiPicoDriver::engine_state(int engine_id) const {
-  // Unified direct map: the LWK dereferences the Linux kmalloc'd image.
-  auto bytes = driver_.linux_kernel().kheap().data(driver_.sdma_engine_image(engine_id));
-  assert(!bytes.empty());
-  return static_cast<hfi::SdmaStates>(state_current_.read(bytes.data()));
+  eng_image_size_ = eng->byte_size;
+  fd_image_size_ = fd->byte_size;
+  cd_image_size_ = cd->byte_size;
 }
 
 sim::Task<Result<long>> HfiPicoDriver::fast_writev(os::OpenFile& f,
@@ -81,19 +77,23 @@ sim::Task<Result<long>> HfiPicoDriver::fast_writev(os::OpenFile& f,
   os::Process& proc = *f.proc;
   mem::AddressSpace& as = proc.as();
 
-  // Engine and per-file state via extracted offsets only.
-  auto fd_bytes = driver_.linux_kernel().kheap().data(driver_.filedata_image(f));
+  // Engine and per-file state via extracted offsets only (unified direct
+  // map: the LWK dereferences the Linux kmalloc'd images).
+  auto fd_bytes = image(driver_.filedata_image(f), fd_image_size_);
   if (fd_bytes.empty()) co_return Errno::einval;
   const int engine_id = static_cast<int>(fd_engine_idx_.read(fd_bytes.data()));
-  if (engine_state(engine_id) != hfi::SdmaStates::s99_running) {
+  auto eng_bytes = image(driver_.sdma_engine_image(engine_id), eng_image_size_);
+  if (eng_bytes.empty()) co_return Errno::einval;
+  if (static_cast<hfi::SdmaStates>(state_current_.read(eng_bytes.data())) !=
+      hfi::SdmaStates::s99_running) {
     // Engine not running (reset in progress): fall back to the Linux path.
     count_fallback();
     co_return co_await driver_.writev(f, iov);
   }
 
   // Translation through the per-file extent cache: repeated sends of the
-  // same pinned buffer skip the page-table walk; only cold or invalidated
-  // ranges are re-walked. Descriptors build into an arena-pooled buffer.
+  // same pinned buffer skip the page-table walk; only cold ranges are
+  // walked. Descriptors build into an arena-pooled buffer.
   mem::ExtentCache& cache = extent_cache_for(f);
   std::vector<hw::SdmaDescriptor> descs = desc_arena_.take();
   // Every iov range looked up so far stays pinned in the cache until this
@@ -173,7 +173,6 @@ sim::Task<Result<long>> HfiPicoDriver::fast_writev(os::OpenFile& f,
 
   // Cross-kernel shared state: bump the same descq_submitted counter the
   // Linux driver maintains, through the extracted offset.
-  auto eng_bytes = driver_.linux_kernel().kheap().data(driver_.sdma_engine_image(engine_id));
   eng_descq_submitted_.write(eng_bytes.data(),
                              eng_descq_submitted_.read(eng_bytes.data()) + descs.size());
 
@@ -239,8 +238,9 @@ sim::Task<Result<long>> HfiPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long
                     cfg.ptw_per_page;
       co_await mck_.engine().delay(translate_cost);
 
-      auto fd_bytes = driver_.linux_kernel().kheap().data(driver_.filedata_image(f));
-      auto cd_bytes = driver_.linux_kernel().kheap().data(driver_.ctxtdata_image(f));
+      auto fd_bytes = image(driver_.filedata_image(f), fd_image_size_);
+      auto cd_bytes = image(driver_.ctxtdata_image(f), cd_image_size_);
+      if (fd_bytes.empty() || cd_bytes.empty()) co_return Errno::einval;
       const std::uint64_t quota = cd_expected_count_.read(cd_bytes.data());
       if (extents.size() > quota) co_return Errno::enospc;
       // Same per-tenant reclamation policy as the Linux path: at quota the
@@ -285,7 +285,8 @@ sim::Task<Result<long>> HfiPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long
       co_await mck_.engine().delay(cfg.tid_program_base / 2 +
                                    static_cast<Dur>(args->tids.size()) *
                                        cfg.tid_program_per_entry / 2);
-      auto fd_bytes = driver_.linux_kernel().kheap().data(driver_.filedata_image(f));
+      auto fd_bytes = image(driver_.filedata_image(f), fd_image_size_);
+      if (fd_bytes.empty()) co_return Errno::einval;
       std::uint64_t released = 0;
       for (const std::uint32_t tid : args->tids) {
         if (!driver_.device().rcv_array().unprogram(f.ctxt, tid).ok())

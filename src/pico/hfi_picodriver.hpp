@@ -20,7 +20,9 @@
 // submit flow, and the TID registration paths.
 //
 // All driver state it touches (sdma_engine/sdma_state images, filedata,
-// ctxtdata) is read and written through DWARF-extracted offsets only.
+// ctxtdata) is read and written through DWARF-extracted offsets only, on
+// images fetched through FastPathPort::image(): EINVAL when the driver's
+// block is smaller than the structure the module's debug info declares.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +66,6 @@ class HfiPicoDriver final : public FastPathPort {
            fd_engine_idx_.bound() && fd_tid_used_.bound() && cd_expected_count_.bound();
   }
 
-  /// Read the engine's current sdma_state through extracted offsets.
-  hfi::SdmaStates engine_state(int engine_id) const;
-
   hfi::HfiDriver& driver_;
 
   dwarf::FieldAccessor<std::uint32_t> eng_this_idx_;
@@ -75,6 +74,10 @@ class HfiPicoDriver final : public FastPathPort {
   dwarf::FieldAccessor<std::uint32_t> fd_engine_idx_;
   dwarf::FieldAccessor<std::uint64_t> fd_tid_used_;
   dwarf::FieldAccessor<std::uint32_t> cd_expected_count_;
+  // Declared byte sizes of the images the accessors above read (image()).
+  std::uint64_t eng_image_size_ = 0;
+  std::uint64_t fd_image_size_ = 0;
+  std::uint64_t cd_image_size_ = 0;
 
   BufferArena<hw::SdmaDescriptor> desc_arena_;
 

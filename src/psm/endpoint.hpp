@@ -85,26 +85,6 @@ class Endpoint {
   std::uint64_t eager_sends() const { return eager_sends_; }
   std::uint64_t expected_sends() const { return expected_sends_; }
 
-  /// --- fast-path translation-cache instrumentation ------------------------
-  /// The eager/expected sends and TID registrations this endpoint issues
-  /// are what populate the pico driver's extent/TID cache; these surface
-  /// its outcome counts at the PSM level (all zero without the driver).
-  std::uint64_t extent_cache_hits() const {
-    return pico_ != nullptr ? pico_->extent_cache_hits() : 0;
-  }
-  std::uint64_t extent_cache_misses() const {
-    return pico_ != nullptr ? pico_->extent_cache_misses() : 0;
-  }
-  std::uint64_t extent_cache_range_invalidations() const {
-    return pico_ != nullptr ? pico_->extent_cache_range_invalidations() : 0;
-  }
-  std::uint64_t extent_cache_generation_overflows() const {
-    return pico_ != nullptr ? pico_->extent_cache_generation_overflows() : 0;
-  }
-  std::uint64_t extent_cache_small_evictions() const {
-    return pico_ != nullptr ? pico_->extent_cache_small_evictions() : 0;
-  }
-
  private:
   struct RecvKey {
     int src_node;

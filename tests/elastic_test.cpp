@@ -59,7 +59,7 @@ TEST(ElasticKheap, AdoptAddsCoreReleaseRehomesItsBlocks) {
   // owns {0, 1} and will adopt 2, all on socket 0.
   const mem::NumaTopology topo = mem::NumaTopology::blocked(8, 2);
   mem::KernelHeap heap({0, 1}, mem::ForeignFreePolicy::remote_queue, topo,
-                       mem::PartitionBudget{}, mem::PlacementPolicy::numa_aware);
+                       mem::PartitionBudget{});
 
   EXPECT_FALSE(heap.owns_cpu(2));
   ASSERT_TRUE(heap.adopt_cpu(2).ok());

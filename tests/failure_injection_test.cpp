@@ -543,25 +543,25 @@ TEST(FailureInjection, BindRejectsMissingDebugSections) {
 }
 
 /// Debug info for `structs` (in declaration order, embedded structs first)
-/// as the driver would ship it, except that the field named
+/// as a module would ship it, except that the field named
 /// "<struct>.<field>" by `narrowed` is declared a 2-byte integer. The
 /// layout still extracts; only the field's width changed.
-dwarf::ModuleBinary ship_with_narrowed_field(const std::vector<const dwarf::StructDef*>& structs,
-                                             const std::string& narrowed) {
+dwarf::ModuleBinary ship_module(const std::vector<dwarf::StructDef>& structs,
+                                const std::string& narrowed = "") {
   dwarf::InfoBuilder b;
   const auto u16 = b.add_base_type("short unsigned int", 2, dwarf::DW_ATE_unsigned);
   const auto u32 = b.add_base_type("unsigned int", 4, dwarf::DW_ATE_unsigned);
   const auto u64 = b.add_base_type("long unsigned int", 8, dwarf::DW_ATE_unsigned);
   std::map<std::string, dwarf::TypeRef> defined;
-  for (const dwarf::StructDef* s : structs) {
+  for (const dwarf::StructDef& s : structs) {
     std::vector<dwarf::InfoBuilder::Member> members;
-    for (const auto& f : s->fields) {
+    for (const auto& f : s.fields) {
       dwarf::TypeRef type = f.size == 8 ? u64 : f.size == 2 ? u16 : u32;
       if (f.type_name.rfind("struct ", 0) == 0) type = defined.at(f.type_name.substr(7));
-      if (s->name + "." + f.name == narrowed) type = u16;
+      if (s.name + "." + f.name == narrowed) type = u16;
       members.push_back({f.name, type, f.offset});
     }
-    defined[s->name] = b.add_struct(s->name, s->byte_size, std::move(members));
+    defined[s.name] = b.add_struct(s.name, s.byte_size, std::move(members));
   }
   const auto dbg = b.build("p", "m");
   dwarf::ModuleBinary module;
@@ -583,9 +583,9 @@ Errno hfi_create_with_narrowed(const std::string& narrowed) {
   os::McKernel mck(engine, cfg, ihk, true);
   const auto& layouts = driver.layouts();
   // The driver's module member is not const; only its getter is.
-  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_with_narrowed_field(
-      {layouts.structure("sdma_state"), layouts.structure("sdma_engine"),
-       layouts.structure("hfi1_filedata"), layouts.structure("hfi1_ctxtdata")},
+  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_module(
+      {*layouts.structure("sdma_state"), *layouts.structure("sdma_engine"),
+       *layouts.structure("hfi1_filedata"), *layouts.structure("hfi1_ctxtdata")},
       narrowed);
   auto pico = pico::HfiPicoDriver::create(mck, driver);
   return pico.ok() ? Errno::ok : pico.error();
@@ -602,9 +602,9 @@ Errno doom_create_with_narrowed(const std::string& narrowed) {
   os::Ihk ihk(engine, cfg, linux_kernel);
   os::McKernel mck(engine, cfg, ihk, true);
   const auto& layouts = driver.layouts();
-  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_with_narrowed_field(
-      {layouts.structure("doom_ringstate"), layouts.structure("doom_devdata"),
-       layouts.structure("doom_ctx")},
+  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_module(
+      {*layouts.structure("doom_ringstate"), *layouts.structure("doom_devdata"),
+       *layouts.structure("doom_ctx")},
       narrowed);
   auto pico = pico::DoomPicoDriver::create(mck, driver);
   return pico.ok() ? Errno::ok : pico.error();
@@ -630,6 +630,95 @@ TEST(FailureInjection, DoomFastPathRejectsFieldNarrowerThanItsAccessor) {
   // doom_devdata.ring declared 2 bytes: run_state() would still read
   // doom_ringstate.run_state through it, past the member's end.
   EXPECT_EQ(doom_create_with_narrowed("doom_devdata.ring"), Errno::einval);
+}
+
+/// `s` declared `byte_size` bytes long with `field` moved to `offset`: a
+/// module whose debug info describes a larger structure than the block the
+/// driver allocates for it. The field keeps its width, so it binds.
+dwarf::StructDef declared_larger(dwarf::StructDef s, const std::string& field,
+                                 std::uint64_t offset, std::uint64_t byte_size) {
+  s.byte_size = byte_size;
+  for (auto& f : s.fields)
+    if (f.name == field) f.offset = offset;
+  return s;
+}
+
+TEST(FailureInjection, HfiFastPathRejectsImageSmallerThanDeclaredStruct) {
+  // The module declares hfi1_filedata as 4 KiB with tid_used at offset
+  // 4000. The accessor stays inside the declared structure, but the
+  // driver's own filedata block is far smaller: the TID fast path must
+  // refuse the image instead of reading and writing past the block.
+  sim::Engine engine;
+  os::Config cfg;
+  hw::Fabric fabric(engine, 1);
+  hw::HfiDevice device(engine, fabric, 0);
+  os::LinuxKernel linux_kernel(engine, cfg);
+  hfi::HfiDriver driver(linux_kernel, device, "10.8-0");
+  os::Ihk ihk(engine, cfg, linux_kernel);
+  os::McKernel mck(engine, cfg, ihk, true);
+  const auto& layouts = driver.layouts();
+  ASSERT_LT(layouts.structure("hfi1_filedata")->byte_size, 4000u);
+  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_module(
+      {*layouts.structure("sdma_state"), *layouts.structure("sdma_engine"),
+       declared_larger(*layouts.structure("hfi1_filedata"), "tid_used", 4000, 4096),
+       *layouts.structure("hfi1_ctxtdata")});
+  auto pico = pico::HfiPicoDriver::create(mck, driver);
+  ASSERT_TRUE(pico.ok());
+
+  mem::PhysMap phys = mem::PhysMap::knl(256_MiB, 1_GiB, 2);
+  os::Process proc(mck, phys, 0, 0, 1000);
+  Result<long> result = 0L;
+  sim::spawn(engine, [](os::Process& p, Result<long>& out) -> sim::Task<> {
+    auto fd = co_await p.open(hfi::kDeviceName);
+    CO_ASSERT_TRUE(fd.ok());
+    auto buf = co_await p.mmap_anon(16_KiB);
+    CO_ASSERT_TRUE(buf.ok());
+    hfi::TidUpdateArgs args;
+    args.vaddr = *buf;
+    args.length = 16_KiB;
+    out = co_await p.ioctl(*fd, hfi::kTidUpdate, &args);
+  }(proc, result));
+  engine.run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error(), Errno::einval);
+  EXPECT_EQ((*pico)->fast_tid_updates(), 1u) << "the refusal must come from the fast path";
+}
+
+TEST(FailureInjection, DoomFastPathRejectsImageSmallerThanDeclaredStruct) {
+  // Same hazard on the second device class: doom_ctx declared 4 KiB with
+  // batches_submitted at offset 4000, past the driver's own ctx block.
+  sim::Engine engine;
+  os::Config cfg;
+  hw::DoomDevice device(engine, 0);
+  os::LinuxKernel linux_kernel(engine, cfg);
+  doom::DoomDriver driver(linux_kernel, device, "0.9-d6");
+  os::Ihk ihk(engine, cfg, linux_kernel);
+  os::McKernel mck(engine, cfg, ihk, true);
+  const auto& layouts = driver.layouts();
+  ASSERT_LT(layouts.structure("doom_ctx")->byte_size, 4000u);
+  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_module(
+      {*layouts.structure("doom_ringstate"), *layouts.structure("doom_devdata"),
+       declared_larger(*layouts.structure("doom_ctx"), "batches_submitted", 4000, 4096)});
+  auto pico = pico::DoomPicoDriver::create(mck, driver);
+  ASSERT_TRUE(pico.ok());
+
+  mem::PhysMap phys = mem::PhysMap::knl(256_MiB, 1_GiB, 2);
+  os::Process proc(mck, phys, 0, 0, 1000);
+  Result<long> result = 0L;
+  sim::spawn(engine, [](os::Process& p, Result<long>& out) -> sim::Task<> {
+    auto fd = co_await p.open(doom::kDeviceName);
+    CO_ASSERT_TRUE(fd.ok());
+    CO_ASSERT_TRUE((co_await p.ioctl(*fd, doom::kDoomCreateCtx, nullptr)).ok());
+    auto buf = co_await p.mmap_anon(64_KiB);
+    CO_ASSERT_TRUE(buf.ok());
+    doom::DoomSubmitArgs args;
+    args.cmds.push_back({static_cast<std::uint32_t>(hw::DoomOp::copy_rect), *buf, 0, 64_KiB});
+    out = co_await p.ioctl(*fd, doom::kDoomSubmitBatch, &args);
+  }(proc, result));
+  engine.run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error(), Errno::einval);
+  EXPECT_EQ((*pico)->fast_submits(), 1u) << "the refusal must come from the fast path";
 }
 
 TEST(FailureInjection, OriginalAllocatorRejectsIrqSideFree) {

@@ -221,7 +221,6 @@ TEST(ExtentCache, RepeatLookupHitsWithoutRewalking) {
   EXPECT_EQ(second->size(), 7u);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().invalidations(), 0u);
   EXPECT_EQ(cache.entries(), 1u);
   // A different max_extent is a different key, not a hit.
   ASSERT_TRUE(cache.lookup(as, *va, 64_KiB, kPage2M, &outcome).ok());
@@ -239,13 +238,13 @@ TEST(ExtentCache, NonOverlappingMunmapNoLongerInvalidates) {
   ExtentCache::Outcome outcome;
   ASSERT_TRUE(cache.lookup(as, *buf, 64_KiB, 10240, &outcome).ok());
   EXPECT_EQ(outcome, ExtentCache::Outcome::miss);
-  // Unmapping a disjoint range moves the generation, but the unmap-interval
-  // log proves the cached range untouched: still a hit, no re-walk.
+  // Unmapping a disjoint range moves the generation, but the cached range
+  // is still mapped: still a hit, no re-walk.
   ASSERT_TRUE(as.munmap(*scratch, 16_KiB).ok());
   auto again = cache.lookup(as, *buf, 64_KiB, 10240, &outcome);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(outcome, ExtentCache::Outcome::hit);
-  EXPECT_EQ(cache.stats().invalidations(), 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(again->size(), 7u);
 }
 
@@ -258,7 +257,7 @@ TEST(ExtentCache, OverlappingMunmapRangeInvalidates) {
   ExtentCache::Outcome outcome;
   ASSERT_TRUE(cache.lookup(as, *buf, 64_KiB, 10240, &outcome).ok());
   EXPECT_EQ(outcome, ExtentCache::Outcome::miss);
-  // Unmapping the cached buffer itself must be caught by the overlap check.
+  // Unmapping the cached buffer itself must be caught by the mapping check.
   ASSERT_TRUE(as.munmap(*buf, 64_KiB).ok());
   auto stale = cache.lookup(as, *buf, 64_KiB, 10240, &outcome);
   EXPECT_FALSE(stale.ok()) << "re-walk of an unmapped range must fault, not hit";
@@ -266,73 +265,73 @@ TEST(ExtentCache, OverlappingMunmapRangeInvalidates) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
-TEST(ExtentCache, UnmapLogOverflowFallsBackToGeneration) {
+TEST(ExtentCache, EntryOutlivesAnyNumberOfDisjointUnmaps) {
   PhysMap phys = small_map();
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
-  as.set_unmap_log_capacity(4);
   auto buf = as.mmap_anonymous(64_KiB, kProtRead);
   ASSERT_TRUE(buf.ok());
   ExtentCache cache;
   ExtentCache::Outcome outcome;
   ASSERT_TRUE(cache.lookup(as, *buf, 64_KiB, 10240, &outcome).ok());
-  // Churn more disjoint unmaps than the log retains: the entry's fill
-  // generation falls below the log floor and nothing can be proven.
-  for (int i = 0; i < 6; ++i) {
+  // Far more disjoint mmap/munmap pairs than any bounded unmap history
+  // could hold: the buffer stays mapped, so the entry stays a hit.
+  for (int i = 0; i < 100; ++i) {
     auto scratch = as.mmap_anonymous(16_KiB, kProtRead);
     ASSERT_TRUE(scratch.ok());
     ASSERT_TRUE(as.munmap(*scratch, 16_KiB).ok());
   }
-  EXPECT_EQ(as.unmap_log_size(), 4u);
-  EXPECT_GT(as.unmap_log_floor(), 0u);
   auto again = cache.lookup(as, *buf, 64_KiB, 10240, &outcome);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(outcome, ExtentCache::Outcome::generation_overflow);
-  EXPECT_EQ(cache.stats().generation_overflows, 1u);
-  EXPECT_EQ(again->size(), 7u) << "conservative re-walk must produce fresh extents";
-  // The re-walk refreshed the generation: stable again.
-  ASSERT_TRUE(cache.lookup(as, *buf, 64_KiB, 10240, &outcome).ok());
   EXPECT_EQ(outcome, ExtentCache::Outcome::hit);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  auto truth = as.physical_extents(*buf, 64_KiB, 10240);
+  ASSERT_TRUE(truth.ok());
+  ASSERT_EQ(again->size(), truth->size());
+  for (std::size_t i = 0; i < truth->size(); ++i) {
+    EXPECT_EQ((*again)[i].pa, (*truth)[i].pa);
+    EXPECT_EQ((*again)[i].len, (*truth)[i].len);
+  }
 }
 
-TEST(ExtentCache, ZeroLogCapacityDegradesToWholeSpaceInvalidation) {
+TEST(AddressSpace, RangeMappedTracksUnmaps) {
   PhysMap phys = small_map();
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
-  as.set_unmap_log_capacity(0);  // PR-1 behaviour: any munmap kills everything
-  auto buf = as.mmap_anonymous(64_KiB, kProtRead);
-  auto scratch = as.mmap_anonymous(16_KiB, kProtRead);
-  ASSERT_TRUE(buf.ok() && scratch.ok());
-  ExtentCache cache;
-  ExtentCache::Outcome outcome;
-  ASSERT_TRUE(cache.lookup(as, *buf, 64_KiB, 10240, &outcome).ok());
-  ASSERT_TRUE(as.munmap(*scratch, 16_KiB).ok());
-  ASSERT_TRUE(cache.lookup(as, *buf, 64_KiB, 10240, &outcome).ok());
-  EXPECT_EQ(outcome, ExtentCache::Outcome::generation_overflow);
-}
-
-TEST(AddressSpace, RangeVerdictSinceTracksOverlapAndOverflow) {
-  PhysMap phys = small_map();
-  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
-  as.set_unmap_log_capacity(2);
   auto a = as.mmap_anonymous(16_KiB, kProtRead);
   auto b = as.mmap_anonymous(16_KiB, kProtRead);
   ASSERT_TRUE(a.ok() && b.ok());
-  const std::uint64_t g0 = as.map_generation();
-  EXPECT_EQ(as.range_verdict_since(*a, 16_KiB, g0), RangeVerdict::intact);
+  ASSERT_EQ(*b, *a + 16_KiB) << "the two VMAs must be adjacent";
+  EXPECT_TRUE(as.range_mapped(*a, 16_KiB));
+  // A range across two adjacent VMAs is covered page for page.
+  EXPECT_TRUE(as.range_mapped(*a + 100, 32_KiB - 100));
   ASSERT_TRUE(as.munmap(*b, 16_KiB).ok());
-  EXPECT_EQ(as.range_verdict_since(*a, 16_KiB, g0), RangeVerdict::intact);
-  // Overlap is detected even for a one-byte query inside the unmapped VMA,
-  // and for an unaligned query whose edge page was unmapped.
-  EXPECT_EQ(as.range_verdict_since(*b + 100, 1, g0), RangeVerdict::overlaps_unmap);
-  EXPECT_EQ(as.range_verdict_since(*b - 1 + kPage4K, 2, g0), RangeVerdict::overlaps_unmap);
-  // The current generation is always intact by definition.
-  EXPECT_EQ(as.range_verdict_since(*b, 16_KiB, as.map_generation()), RangeVerdict::intact);
-  // Overflow the two-entry log; g0 drops below the floor.
-  for (int i = 0; i < 3; ++i) {
-    auto scratch = as.mmap_anonymous(4_KiB, kProtRead);
-    ASSERT_TRUE(scratch.ok());
-    ASSERT_TRUE(as.munmap(*scratch, 4_KiB).ok());
+  EXPECT_TRUE(as.range_mapped(*a, 16_KiB));
+  EXPECT_FALSE(as.range_mapped(*a, 32_KiB));
+  // A one-byte query inside the unmapped VMA, and an unaligned query whose
+  // edge page was unmapped, are both caught.
+  EXPECT_FALSE(as.range_mapped(*b + 100, 1));
+  EXPECT_FALSE(as.range_mapped(*b - 1, 2));
+  EXPECT_TRUE(as.range_mapped(*b - 1, 1));
+  EXPECT_FALSE(as.range_mapped(*a, 0));
+}
+
+TEST(AddressSpace, UnmappedVirtualRangeIsNeverReused) {
+  // range_mapped() is an exact validity check only because a virtual
+  // address, once unmapped, is never bound to another frame.
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  std::vector<std::pair<VirtAddr, VirtAddr>> released;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t len = (i % 3 == 0 ? 2_MiB : 4_KiB * (1 + i % 5));
+    auto va = as.mmap_anonymous(len, kProtRead);
+    ASSERT_TRUE(va.ok());
+    for (const auto& [lo, hi] : released)
+      EXPECT_TRUE(*va + len <= lo || hi <= *va) << "mmap reused an unmapped range";
+    ASSERT_TRUE(as.munmap(*va, len).ok());
+    released.emplace_back(*va, *va + page_ceil(len, kPage4K));
   }
-  EXPECT_EQ(as.range_verdict_since(*a, 16_KiB, g0), RangeVerdict::unknown);
+  auto dev = as.mmap_device(0xF000'0000ull, 8_KiB, kProtRead);
+  ASSERT_TRUE(dev.ok());
+  for (const auto& [lo, hi] : released) EXPECT_TRUE(*dev + 8_KiB <= lo || hi <= *dev);
 }
 
 TEST(ExtentCache, ReMmapAfterMunmapRewalksNotStale) {
@@ -384,27 +383,6 @@ TEST(ExtentCache, SizeAwareEvictionKeepsLargeHotWindow) {
       << "the large hot window must survive the small-buffer burst";
 }
 
-TEST(ExtentCache, ZeroCapacityDegradesToPassThrough) {
-  PhysMap phys = small_map();
-  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
-  auto va = as.mmap_anonymous(64_KiB, kProtRead);
-  ASSERT_TRUE(va.ok());
-  ExtentCache cache(/*capacity=*/0);
-  ExtentCache::Outcome outcome;
-  for (int i = 0; i < 3; ++i) {
-    auto r = cache.lookup(as, *va, 64_KiB, 10240, &outcome);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(outcome, ExtentCache::Outcome::miss) << "every lookup is a fresh walk";
-    EXPECT_EQ(r->size(), 7u);
-  }
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 3u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  // Errors pass through too.
-  EXPECT_EQ(cache.lookup(as, 0xDEAD000, 4096, 0).error(), Errno::efault);
-}
-
 TEST(ExtentCache, FaultingRangeIsNotCached) {
   PhysMap phys = small_map();
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
@@ -418,6 +396,23 @@ TEST(ExtentCache, FaultingRangeIsNotCached) {
   ExtentCache::Outcome outcome;
   ASSERT_TRUE(cache.lookup(as, *va, 16_KiB, 10240, &outcome).ok());
   EXPECT_EQ(outcome, ExtentCache::Outcome::miss);
+}
+
+TEST(ExtentCache, FailedWalkLeavesNoAliasableSlot) {
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  auto buf = as.mmap_anonymous(64_KiB, kProtRead);
+  ASSERT_TRUE(buf.ok());
+  ExtentCache cache;
+  // The walk runs off the end of the mapping: seven extents in, then a
+  // fault. Nothing of it may stay behind in the cache.
+  EXPECT_EQ(cache.lookup(as, *buf, 64_KiB + 4_KiB, 10240).error(), Errno::efault);
+  EXPECT_EQ(cache.entries(), 0u);
+  // The degenerate key must match a fresh walk (EINVAL), not a left-over
+  // slot holding the failed walk's partial extents.
+  EXPECT_EQ(cache.lookup(as, 0, 0, 10240).error(), Errno::einval);
+  EXPECT_EQ(as.physical_extents(0, 0, 10240).error(), Errno::einval);
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(AddressSpace, FindVma) {

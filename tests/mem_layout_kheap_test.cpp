@@ -208,18 +208,5 @@ TEST(KernelHeapSlab, OversizedBlocksBypassMagazines) {
   EXPECT_EQ(heap.stats().host_allocs, 2u);
 }
 
-TEST(KernelHeapSlab, DisabledSlabModelsOriginalAllocator) {
-  KernelHeap heap({0}, ForeignFreePolicy::fail, 0x0000'00F0'0000'0000ull,
-                  /*slab_enabled=*/false);
-  auto a = heap.kmalloc(192, 0);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(heap.kfree(*a, 0).ok());
-  EXPECT_EQ(heap.magazine_depth(0), 0u);
-  auto b = heap.kmalloc(192, 0);
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(heap.stats().slab_reuses, 0u);
-  EXPECT_EQ(heap.stats().host_allocs, 2u) << "every kmalloc touches the host heap";
-}
-
 }  // namespace
 }  // namespace pd::mem

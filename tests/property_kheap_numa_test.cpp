@@ -1,14 +1,17 @@
-// NUMA drain-batching equivalence property (paper §3.3 + SNC-4 placement).
+// NUMA drain-batching oracle property (paper §3.3 + SNC-4 placement).
 //
-// The NUMA-aware kheap changes *where* cold allocations land and *how* the
-// remote-free queue is walked (one batch per source socket instead of FIFO
-// per block). Neither may change what the allocator *does*: the same op
-// sequence driven against a flat-placement heap and a numa_aware heap —
-// sharing one multi-socket topology — must reclaim exactly the same blocks
-// on every drain, keep byte-identical ledgers, and keep every block's
-// pattern intact while live. Only the placement counters and the
-// cross-socket event count may differ, and the NUMA heap must never see
-// *more* cross-socket events than the flat one.
+// The kheap places cold allocations in the caller's near partition and
+// walks the remote-free queue one batch per source socket. A seeded op
+// script drives one multi-socket heap while the harness keeps its own
+// model of the script: which blocks are live, which were foreign-freed
+// onto which owner's queue (and from which socket), and which addresses
+// each owner's magazines should hold. Every drain must reclaim exactly the
+// blocks the script queued for that owner, and `cross_socket_drains` must
+// grow by the number of distinct remote source sockets among them — one
+// event per socket batch, never one per block. A slab-class kmalloc must
+// reuse a parked block exactly when the model says one is parked, and hand
+// back one of the model's addresses when it does. Ledgers and each live
+// block's byte pattern are checked against the model too.
 //
 // Determinism: fixed default seed, overridable with PD_PROPERTY_SEED; a
 // failure prints the seed. Run with `ctest -L property` (also labelled
@@ -19,6 +22,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -44,30 +51,33 @@ std::uint64_t harness_seed() {
   return 0x5C0CE75ull;
 }
 
-std::uint8_t pattern_for(std::size_t slot, std::uint64_t size) {
-  return static_cast<std::uint8_t>(slot * 17 ^ size ^ 0xA7);
+std::uint8_t pattern_for(std::size_t id, std::uint64_t size) {
+  return static_cast<std::uint8_t>(id * 17 ^ size ^ 0xA7);
 }
 
-// One block tracked through both heaps. Addresses differ (placement is the
-// point under test), so slots pair them up.
-struct Slot {
-  PhysAddr flat_addr = 0;
-  PhysAddr numa_addr = 0;
+/// Magazine size class of a request, or kSizeClasses.size() when oversized
+/// (such blocks go back to the host on free and are never parked).
+std::size_t size_class(std::uint64_t size) {
+  std::size_t cls = 0;
+  while (cls < KernelHeap::kSizeClasses.size() && size > KernelHeap::kSizeClasses[cls]) ++cls;
+  return cls;
+}
+
+struct Block {
+  PhysAddr addr = 0;
   std::uint64_t size = 0;
   int owner_cpu = -1;
-  std::size_t id = 0;  // stable pattern key across slot-vector shuffles
+  int source_socket = -1;  // socket of the foreign CPU that freed it
+  std::size_t id = 0;      // pattern key
 };
 
-class DrainEquivalenceHarness {
+class DrainOracleHarness {
  public:
-  explicit DrainEquivalenceHarness(std::uint64_t seed)
+  explicit DrainOracleHarness(std::uint64_t seed)
       : seed_(seed),
         rng_(seed),
         topo_(NumaTopology::blocked(kTotalCpus, kSockets)),
-        flat_(owners(), ForeignFreePolicy::remote_queue, topo_, PartitionBudget{},
-              PlacementPolicy::flat),
-        numa_(owners(), ForeignFreePolicy::remote_queue, topo_, PartitionBudget{},
-              PlacementPolicy::numa_aware) {}
+        heap_(owners(), ForeignFreePolicy::remote_queue, topo_, PartitionBudget{}) {}
 
   void run(int ops) {
     for (int op = 0; op < ops && !testing::Test::HasFatalFailure(); ++op) {
@@ -106,119 +116,140 @@ class DrainEquivalenceHarness {
     return 4097 + rng_.next_below(8ull * 1024);  // oversized → host path
   }
 
-  void fill(KernelHeap& heap, PhysAddr addr, const Slot& s) {
-    auto span = heap.data(addr);
-    ASSERT_EQ(span.size(), s.size) << reproducer();
-    for (auto& byte : span) byte = pattern_for(s.id, s.size);
+  /// The model's parked addresses on `cpu`'s magazine for `size`'s class.
+  std::set<PhysAddr>& parked(int cpu, std::uint64_t size) {
+    return parked_[{cpu, size_class(size)}];
   }
 
-  void check_bytes(KernelHeap& heap, PhysAddr addr, const Slot& s) {
-    auto span = heap.data(addr);
-    ASSERT_EQ(span.size(), s.size) << reproducer();
-    const std::uint8_t p = pattern_for(s.id, s.size);
+  /// Model side of a block leaving the live ledger (local free or drain).
+  void retire(const Block& b) {
+    bytes_live_ -= b.size;
+    if (size_class(b.size) < KernelHeap::kSizeClasses.size()) {
+      parked(b.owner_cpu, b.size).insert(b.addr);
+      ++recycles_;
+    }
+  }
+
+  void check_bytes(const Block& b) {
+    auto span = heap_.data(b.addr);
+    ASSERT_EQ(span.size(), b.size) << reproducer();
+    const std::uint8_t p = pattern_for(b.id, b.size);
     for (std::size_t i = 0; i < span.size(); ++i)
-      ASSERT_EQ(span[i], p) << "slot " << s.id << " byte " << i << " stomped"
-                            << reproducer();
+      ASSERT_EQ(span[i], p) << "block " << b.id << " byte " << i << " stomped" << reproducer();
   }
 
   void do_alloc() {
-    Slot s;
-    s.owner_cpu = owner();
-    s.size = random_size();
-    s.id = next_id_++;
-    auto fa = flat_.kmalloc(s.size, s.owner_cpu);
-    auto na = numa_.kmalloc(s.size, s.owner_cpu);
-    ASSERT_TRUE(fa.ok()) << reproducer();
-    ASSERT_TRUE(na.ok()) << reproducer();
-    s.flat_addr = *fa;
-    s.numa_addr = *na;
-    fill(flat_, s.flat_addr, s);
-    fill(numa_, s.numa_addr, s);
-    live_.push_back(s);
+    Block b;
+    b.owner_cpu = owner();
+    b.size = random_size();
+    b.id = next_id_++;
+    const KernelHeap::Stats before = heap_.stats();
+    auto addr = heap_.kmalloc(b.size, b.owner_cpu);
+    ASSERT_TRUE(addr.ok()) << reproducer();
+    b.addr = *addr;
+    std::set<PhysAddr>& magazine = parked(b.owner_cpu, b.size);
+    if (magazine.empty()) {
+      ASSERT_EQ(heap_.stats().host_allocs, before.host_allocs + 1) << reproducer();
+    } else {
+      ASSERT_EQ(heap_.stats().slab_reuses, before.slab_reuses + 1) << reproducer();
+      ASSERT_EQ(magazine.erase(b.addr), 1u)
+          << "reused a block the script never parked on this magazine" << reproducer();
+    }
+    ++allocs_;
+    bytes_live_ += b.size;
+    auto span = heap_.data(b.addr);
+    ASSERT_EQ(span.size(), b.size) << reproducer();
+    for (auto& byte : span) byte = pattern_for(b.id, b.size);
+    live_.push_back(b);
   }
 
   void do_free(bool is_foreign) {
     if (live_.empty()) return;
     const std::size_t pick = rng_.next_below(live_.size());
-    Slot s = live_[pick];
+    Block b = live_[pick];
     live_[pick] = live_.back();
     live_.pop_back();
-    check_bytes(flat_, s.flat_addr, s);  // integrity holds right up to the free
-    check_bytes(numa_, s.numa_addr, s);
-    const int cpu = is_foreign ? foreign() : s.owner_cpu;
-    ASSERT_TRUE(flat_.kfree(s.flat_addr, cpu).ok()) << reproducer();
-    ASSERT_TRUE(numa_.kfree(s.numa_addr, cpu).ok()) << reproducer();
-    if (is_foreign) queued_.push_back(s);
+    check_bytes(b);  // integrity holds right up to the free
+    const int cpu = is_foreign ? foreign() : b.owner_cpu;
+    ASSERT_TRUE(heap_.kfree(b.addr, cpu).ok()) << reproducer();
+    if (is_foreign) {
+      b.source_socket = topo_.socket_of(cpu);
+      queued_.push_back(b);
+      ++remote_frees_;
+    } else {
+      retire(b);
+      ++local_frees_;
+    }
   }
 
-  // Both heaps must reject a free of a queued block identically.
+  // A free of a queued block is a caught double free, and its bytes stay
+  // hidden until the owner drains it.
   void do_double_free() {
     if (queued_.empty()) return;
-    const Slot& s = queued_[rng_.next_below(queued_.size())];
-    const int cpu = rng_.next_below(2) == 0 ? foreign() : s.owner_cpu;
-    ASSERT_EQ(flat_.kfree(s.flat_addr, cpu).error(), Errno::einval) << reproducer();
-    ASSERT_EQ(numa_.kfree(s.numa_addr, cpu).error(), Errno::einval) << reproducer();
-    ASSERT_TRUE(flat_.data(s.flat_addr).empty()) << reproducer();
-    ASSERT_TRUE(numa_.data(s.numa_addr).empty()) << reproducer();
+    const Block& b = queued_[rng_.next_below(queued_.size())];
+    const int cpu = rng_.next_below(2) == 0 ? foreign() : b.owner_cpu;
+    ASSERT_EQ(heap_.kfree(b.addr, cpu).error(), Errno::einval) << reproducer();
+    ASSERT_TRUE(heap_.data(b.addr).empty()) << reproducer();
+    ++double_frees_;
   }
 
   void do_drain(int cpu) {
-    ASSERT_EQ(flat_.remote_queue_depth(cpu), numa_.remote_queue_depth(cpu))
-        << reproducer();
-    const std::size_t flat_got = flat_.drain_remote_frees(cpu);
-    const std::size_t numa_got = numa_.drain_remote_frees(cpu);
-    // The batched walk must reclaim exactly what the FIFO walk reclaims.
-    ASSERT_EQ(flat_got, numa_got) << reproducer();
-    std::size_t expected = 0;
+    std::vector<Block> mine;
     for (std::size_t i = 0; i < queued_.size();) {
       if (queued_[i].owner_cpu == cpu) {
-        ++expected;
+        mine.push_back(queued_[i]);
         queued_[i] = queued_.back();
         queued_.pop_back();
       } else {
         ++i;
       }
     }
-    ASSERT_EQ(flat_got, expected) << reproducer();
+    std::set<int> remote_sockets;
+    std::size_t slab_blocks = 0;
+    for (const Block& b : mine) {
+      if (b.source_socket != topo_.socket_of(cpu)) {
+        remote_sockets.insert(b.source_socket);
+        ++remote_blocks_drained_;
+      }
+      if (size_class(b.size) < KernelHeap::kSizeClasses.size()) ++slab_blocks;
+    }
+    ASSERT_EQ(heap_.remote_queue_depth(cpu), mine.size()) << reproducer();
+    const KernelHeap::Stats before = heap_.stats();
+    const std::size_t depth_before = heap_.magazine_depth(cpu);
+    ASSERT_EQ(heap_.drain_remote_frees(cpu), mine.size()) << reproducer();
+    const KernelHeap::Stats& after = heap_.stats();
+    ASSERT_EQ(after.cross_socket_drains - before.cross_socket_drains, remote_sockets.size())
+        << "one cross-socket event per remote source socket, not per block" << reproducer();
+    ASSERT_EQ(heap_.magazine_depth(cpu) - depth_before, slab_blocks) << reproducer();
+    ASSERT_EQ(heap_.remote_queue_depth(cpu), 0u) << reproducer();
+    for (const Block& b : mine) retire(b);
+    ASSERT_EQ(after.bytes_live, bytes_live_) << reproducer();
   }
 
   void check_ledgers() {
-    const KernelHeap::Stats& f = flat_.stats();
-    const KernelHeap::Stats& n = numa_.stats();
-    ASSERT_EQ(f.allocs, n.allocs) << reproducer();
-    ASSERT_EQ(f.local_frees, n.local_frees) << reproducer();
-    ASSERT_EQ(f.remote_frees, n.remote_frees) << reproducer();
-    ASSERT_EQ(f.double_frees, n.double_frees) << reproducer();
-    ASSERT_EQ(f.bytes_live, n.bytes_live) << reproducer();
-    // Placement must not perturb the magazine steady state: identical op
-    // streams hit / refill per-core magazines identically in both heaps.
-    ASSERT_EQ(f.host_allocs, n.host_allocs) << reproducer();
-    ASSERT_EQ(f.slab_reuses, n.slab_reuses) << reproducer();
-    ASSERT_EQ(f.slab_recycles, n.slab_recycles) << reproducer();
-    ASSERT_EQ(flat_.live_blocks(), numa_.live_blocks()) << reproducer();
-    ASSERT_EQ(flat_.live_blocks(), live_.size() + queued_.size()) << reproducer();
-    // Batching can only shrink the cross-socket event count.
-    ASSERT_LE(n.cross_socket_drains, f.cross_socket_drains) << reproducer();
+    const KernelHeap::Stats& s = heap_.stats();
+    ASSERT_EQ(s.allocs, allocs_) << reproducer();
+    ASSERT_EQ(s.local_frees, local_frees_) << reproducer();
+    ASSERT_EQ(s.remote_frees, remote_frees_) << reproducer();
+    ASSERT_EQ(s.double_frees, double_frees_) << reproducer();
+    ASSERT_EQ(s.bytes_live, bytes_live_) << reproducer();
+    ASSERT_EQ(s.slab_reuses + s.host_allocs, allocs_) << reproducer();
+    ASSERT_EQ(s.slab_recycles, recycles_) << reproducer();
+    ASSERT_EQ(heap_.live_blocks(), live_.size() + queued_.size()) << reproducer();
   }
 
   void finish() {
-    ASSERT_EQ(flat_.live_blocks(), 0u) << reproducer();
-    ASSERT_EQ(numa_.stats().bytes_live, 0u) << reproducer();
-    const KernelHeap::Stats& f = flat_.stats();
-    const KernelHeap::Stats& n = numa_.stats();
-    EXPECT_GT(f.remote_frees, 500u) << "remote path barely exercised" << reproducer();
-    // Placement outcomes: every owner lives on socket 1–3, so the flat
-    // heap (everything carved from socket 0) never places near, while the
-    // numa heap with unbounded budgets always does.
-    EXPECT_EQ(f.near_allocs, 0u) << reproducer();
-    EXPECT_EQ(f.far_allocs, f.host_allocs) << reproducer();
-    EXPECT_EQ(n.near_allocs, n.host_allocs) << reproducer();
-    EXPECT_EQ(n.far_allocs, 0u) << reproducer();
-    EXPECT_EQ(n.partition_exhausted, 0u) << reproducer();
-    // The headline: per-source-socket batching strictly beats per-block
-    // accounting once drains carry multi-block batches, which this op mix
-    // guarantees at this scale.
-    EXPECT_LT(n.cross_socket_drains, f.cross_socket_drains) << reproducer();
+    ASSERT_EQ(heap_.live_blocks(), 0u) << reproducer();
+    const KernelHeap::Stats& s = heap_.stats();
+    EXPECT_GT(s.remote_frees, 500u) << "remote path barely exercised" << reproducer();
+    // With unbounded budgets every cold allocation lands in its caller's
+    // near partition.
+    EXPECT_EQ(s.near_allocs, s.host_allocs) << reproducer();
+    EXPECT_EQ(s.far_allocs, 0u) << reproducer();
+    EXPECT_EQ(s.partition_exhausted, 0u) << reproducer();
+    // Drains carried multi-block batches, so coalescing paid off: fewer
+    // cross-socket events than remote-socket blocks reclaimed.
+    EXPECT_LT(s.cross_socket_drains, remote_blocks_drained_) << reproducer();
   }
 
   std::string reproducer() const {
@@ -228,72 +259,68 @@ class DrainEquivalenceHarness {
   std::uint64_t seed_;
   Rng rng_;
   NumaTopology topo_;
-  KernelHeap flat_;
-  KernelHeap numa_;
-  std::vector<Slot> live_;
-  std::vector<Slot> queued_;  // foreign-freed, awaiting the owner's drain
+  KernelHeap heap_;
+  std::vector<Block> live_;
+  std::vector<Block> queued_;  // foreign-freed, awaiting the owner's drain
+  std::map<std::pair<int, std::size_t>, std::set<PhysAddr>> parked_;  // (cpu, class)
   std::size_t next_id_ = 0;
+  std::uint64_t allocs_ = 0;
+  std::uint64_t local_frees_ = 0;
+  std::uint64_t remote_frees_ = 0;
+  std::uint64_t double_frees_ = 0;
+  std::uint64_t recycles_ = 0;
+  std::uint64_t bytes_live_ = 0;
+  std::uint64_t remote_blocks_drained_ = 0;  // from a socket not the owner's
 };
 
-TEST(KheapNumaProperty, BatchedDrainIsEquivalentToFlatDrain) {
+TEST(KheapNumaProperty, DrainMatchesScriptOracle) {
   const std::uint64_t seed = harness_seed();
-  std::printf("kheap numa equivalence: PD_PROPERTY_SEED=%llu (%d ops)\n",
+  std::printf("kheap numa oracle: PD_PROPERTY_SEED=%llu (%d ops)\n",
               static_cast<unsigned long long>(seed), kOps);
-  DrainEquivalenceHarness h(seed);
+  DrainOracleHarness h(seed);
   h.run(kOps);
 }
 
 // Breadth: extra fixed seeds keep running even when PD_PROPERTY_SEED pins
 // the main harness to a reproducer.
-TEST(KheapNumaProperty, FixedSeedsStayEquivalent) {
+TEST(KheapNumaProperty, FixedSeedsMatchOracle) {
   for (std::uint64_t seed : {std::uint64_t{0xBA7C4ull}, std::uint64_t{7}}) {
-    DrainEquivalenceHarness h(splitmix64(seed));
+    DrainOracleHarness h(splitmix64(seed));
     h.run(4'000);
     if (testing::Test::HasFatalFailure()) return;
   }
 }
 
 // Deterministic worked example of the figure of merit: eight completion
-// blocks freed from two remote sockets cost the flat drain eight
-// cross-socket events (one cache-line pull per block) but the batched
-// drain only two (one per source socket).
+// blocks freed from two remote sockets cost the drain two cross-socket
+// events (one per source socket), not eight (one per block).
 TEST(KheapNumaDrain, DrainCoalescesPerSourceSocket) {
   const NumaTopology topo = NumaTopology::blocked(kTotalCpus, kSockets);
-  KernelHeap flat({4}, ForeignFreePolicy::remote_queue, topo, PartitionBudget{},
-                  PlacementPolicy::flat);
-  KernelHeap numa({4}, ForeignFreePolicy::remote_queue, topo, PartitionBudget{},
-                  PlacementPolicy::numa_aware);
-  for (KernelHeap* heap : {&flat, &numa}) {
-    std::vector<PhysAddr> blocks;
-    for (int i = 0; i < 8; ++i) {
-      auto a = heap->kmalloc(192, 4);
-      ASSERT_TRUE(a.ok());
-      blocks.push_back(*a);
-    }
-    for (int i = 0; i < 8; ++i) {
-      // Alternate source sockets 0 and 2 (CPUs 0 and 10); owner is socket 1.
-      ASSERT_TRUE(heap->kfree(blocks[static_cast<std::size_t>(i)], i % 2 == 0 ? 0 : 10).ok());
-    }
-    EXPECT_EQ(heap->drain_remote_frees(4), 8u);
-  }
-  EXPECT_EQ(flat.stats().cross_socket_drains, 8u);
-  EXPECT_EQ(numa.stats().cross_socket_drains, 2u);
-}
-
-// Same-socket foreign frees are not cross-socket traffic under either walk:
-// CPU 6 shares socket 1 with the owner CPU 4.
-TEST(KheapNumaDrain, SameSocketForeignFreeIsNotCrossSocket) {
-  const NumaTopology topo = NumaTopology::blocked(kTotalCpus, kSockets);
-  for (const PlacementPolicy placement :
-       {PlacementPolicy::flat, PlacementPolicy::numa_aware}) {
-    KernelHeap heap({4}, ForeignFreePolicy::remote_queue, topo, PartitionBudget{},
-                    placement);
+  KernelHeap heap({4}, ForeignFreePolicy::remote_queue, topo, PartitionBudget{});
+  std::vector<PhysAddr> blocks;
+  for (int i = 0; i < 8; ++i) {
     auto a = heap.kmalloc(192, 4);
     ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(heap.kfree(*a, 6).ok());
-    EXPECT_EQ(heap.drain_remote_frees(4), 1u);
-    EXPECT_EQ(heap.stats().cross_socket_drains, 0u);
+    blocks.push_back(*a);
   }
+  for (int i = 0; i < 8; ++i) {
+    // Alternate source sockets 0 and 2 (CPUs 0 and 10); owner is socket 1.
+    ASSERT_TRUE(heap.kfree(blocks[static_cast<std::size_t>(i)], i % 2 == 0 ? 0 : 10).ok());
+  }
+  EXPECT_EQ(heap.drain_remote_frees(4), 8u);
+  EXPECT_EQ(heap.stats().cross_socket_drains, 2u);
+}
+
+// Same-socket foreign frees are not cross-socket traffic: CPU 6 shares
+// socket 1 with the owner CPU 4.
+TEST(KheapNumaDrain, SameSocketForeignFreeIsNotCrossSocket) {
+  const NumaTopology topo = NumaTopology::blocked(kTotalCpus, kSockets);
+  KernelHeap heap({4}, ForeignFreePolicy::remote_queue, topo, PartitionBudget{});
+  auto a = heap.kmalloc(192, 4);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(heap.kfree(*a, 6).ok());
+  EXPECT_EQ(heap.drain_remote_frees(4), 1u);
+  EXPECT_EQ(heap.stats().cross_socket_drains, 0u);
 }
 
 // Partition capacity model: a starved near budget falls back to the home
@@ -303,7 +330,7 @@ TEST(KheapNumaPartitions, NearExhaustionFallsBackToFar) {
   const NumaTopology topo = NumaTopology::blocked(8, 2);
   // 8 KiB near budget: exactly one oversized 8 KiB block fits near.
   KernelHeap heap({4, 5, 6, 7}, ForeignFreePolicy::remote_queue, topo,
-                  PartitionBudget{8 * 1024, 1ull << 30}, PlacementPolicy::numa_aware);
+                  PartitionBudget{8 * 1024, 1ull << 30});
   std::vector<PhysAddr> addrs;
   for (int i = 0; i < 16; ++i) {
     auto a = heap.kmalloc(8 * 1024, 4);  // oversized → every alloc carves
@@ -327,7 +354,7 @@ TEST(KheapNumaPartitions, NearExhaustionFallsBackToFar) {
 TEST(KheapNumaPartitions, ExhaustedHomeSpillsThenFails) {
   const NumaTopology topo = NumaTopology::blocked(8, 2);
   KernelHeap heap({4}, ForeignFreePolicy::remote_queue, topo,
-                  PartitionBudget{8 * 1024, 8 * 1024}, PlacementPolicy::numa_aware);
+                  PartitionBudget{8 * 1024, 8 * 1024});
   // Four 8 KiB slices exist (near/far × 2 sockets); the fifth carve fails.
   for (int i = 0; i < 4; ++i)
     ASSERT_TRUE(heap.kmalloc(8 * 1024, 4).ok()) << "slice " << i;
