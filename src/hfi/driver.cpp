@@ -240,13 +240,12 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
         co_return Errno::enospc;
       }
       while (fd.read<std::uint64_t>("tid_used") + pages > quota) {
-        if (!cfg.hfi_tid_quota_evict || ctx->tid_order.empty()) {
+        if (!cfg.hfi_tid_quota_evict || ctx->tids.empty()) {
           as.put_user_pages(*pinned);
           co_return Errno::enospc;
         }
         co_await linux_.engine().delay(cfg.tid_program_per_entry);
-        auto freed = evict_lru_tid(f);
-        if (!freed.ok()) {
+        if (!evict_lru_tid(f).ok()) {
           as.put_user_pages(*pinned);
           co_return Errno::enospc;
         }
@@ -262,8 +261,7 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
           // Roll back this call's entries; pins for them move back too.
           for (const std::uint32_t t : args->tids) {
             (void)device_.rcv_array().unprogram(ctx->hw_ctxt, t);
-            ctx->tid_pins.erase(t);
-            std::erase(ctx->tid_order, t);
+            ctx->tids.erase(t);
           }
           as.put_user_pages(*pinned);
           args->tids.clear();
@@ -272,11 +270,7 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
         args->tids.push_back(*tid);
         // Ownership of this frame's pin transfers to the TID record; it is
         // released at TID_FREE (or close), not at ioctl return.
-        mem::PinnedPages single;
-        single.frames.push_back(frame);
-        ctx->tid_pins[*tid] = std::move(single);
-        ctx->tid_order.push_back(*tid);
-        ++tid_programs_;
+        record_tid(f, *tid, frame);
       }
       fd.write<std::uint64_t>("tid_used", fd.read<std::uint64_t>("tid_used") + pages);
       co_return static_cast<long>(args->tids.size());
@@ -288,21 +282,21 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
       co_await linux_.engine().delay(cfg.tid_program_base +
                                      static_cast<Dur>(args->tids.size()) *
                                          cfg.tid_program_per_entry / 2);
-      mem::AddressSpace& as = f.proc->as();
       StructImage fd = image(ctx->filedata, "hfi1_filedata");
+      // As hfi1's user_exp_rcv_clear: stop at the first TID that cannot be
+      // unprogrammed, but account for every one released before it.
       std::uint64_t released_pages = 0;
+      bool failed = false;
       for (const std::uint32_t tid : args->tids) {
-        if (!device_.rcv_array().unprogram(ctx->hw_ctxt, tid).ok()) co_return Errno::einval;
-        auto it = ctx->tid_pins.find(tid);
-        if (it != ctx->tid_pins.end()) {
-          released_pages += it->second.frames.size();
-          as.put_user_pages(it->second);
-          ctx->tid_pins.erase(it);
+        if (!device_.rcv_array().unprogram(ctx->hw_ctxt, tid).ok()) {
+          failed = true;
+          break;
         }
-        std::erase(ctx->tid_order, tid);
+        if (release_tid(f, tid)) ++released_pages;
       }
       fd.write<std::uint64_t>("tid_used",
                               fd.read<std::uint64_t>("tid_used") - released_pages);
+      if (failed) co_return Errno::einval;
       co_return 0L;
     }
 
@@ -365,7 +359,9 @@ sim::Task<Result<long>> HfiDriver::close(os::OpenFile& f) {
   if (ctx == nullptr) co_return Errno::einval;
   co_await linux_.engine().delay(from_us(8.0));
   mem::AddressSpace& as = f.proc->as();
-  for (auto& [tid, pins] : ctx->tid_pins) as.put_user_pages(pins);
+  ctx->tids.for_each([&as](std::uint64_t, const TidRecord& rec) {
+    if (rec.frame) as.put_user_page(*rec.frame);
+  });
   device_.close_context(ctx->hw_ctxt);
   (void)linux_.kheap().kfree(ctx->filedata, alloc_cpu());
   (void)linux_.kheap().kfree(ctx->ctxtdata, alloc_cpu());
@@ -374,46 +370,43 @@ sim::Task<Result<long>> HfiDriver::close(os::OpenFile& f) {
   co_return 0L;
 }
 
-Status HfiDriver::account_tid_pin(os::OpenFile& f, std::uint32_t tid, mem::PinnedPages pins) {
+void HfiDriver::record_tid(os::OpenFile& f, std::uint32_t tid,
+                           std::optional<mem::PhysAddr> frame) {
   FileCtx* ctx = fctx(f);
-  if (ctx == nullptr) return Errno::einval;
-  ctx->tid_pins[tid] = std::move(pins);
-  ctx->tid_order.push_back(tid);
+  ctx->tids[tid] = TidRecord{ctx->next_tid_seq++, frame};
   ++tid_programs_;
-  return Status::success();
 }
 
-Result<mem::PinnedPages> HfiDriver::release_tid_pin(os::OpenFile& f, std::uint32_t tid) {
+bool HfiDriver::release_tid(os::OpenFile& f, std::uint32_t tid) {
   FileCtx* ctx = fctx(f);
-  if (ctx == nullptr) return Errno::einval;
-  auto it = ctx->tid_pins.find(tid);
-  if (it == ctx->tid_pins.end()) return Errno::enoent;
-  mem::PinnedPages pins = std::move(it->second);
-  ctx->tid_pins.erase(it);
-  std::erase(ctx->tid_order, tid);
-  return pins;
+  const TidRecord* rec = ctx->tids.find(tid);
+  if (rec == nullptr) return false;
+  const std::optional<mem::PhysAddr> frame = rec->frame;
+  ctx->tids.erase(tid);
+  if (frame) f.proc->as().put_user_page(*frame);
+  return frame.has_value();
 }
 
-Result<std::uint64_t> HfiDriver::evict_lru_tid(os::OpenFile& f) {
+Status HfiDriver::evict_lru_tid(os::OpenFile& f) {
   FileCtx* ctx = fctx(f);
   if (ctx == nullptr) return Errno::einval;
-  if (ctx->tid_order.empty()) return Errno::enoent;
-  const std::uint32_t tid = ctx->tid_order.front();
-  ctx->tid_order.erase(ctx->tid_order.begin());
-  (void)device_.rcv_array().unprogram(ctx->hw_ctxt, tid);
-  std::uint64_t freed = 1;
-  auto it = ctx->tid_pins.find(tid);
-  if (it != ctx->tid_pins.end()) {
-    if (!it->second.frames.empty()) {
-      freed = it->second.frames.size();
-      f.proc->as().put_user_pages(it->second);
+  if (ctx->tids.empty()) return Errno::enoent;
+  // A scan, but eviction only runs with hfi_tid_quota_evict on, and a
+  // context holds at most its RcvArray share of records.
+  std::uint32_t tid = 0;
+  std::uint64_t oldest = ~std::uint64_t{0};
+  ctx->tids.for_each([&](std::uint64_t t, const TidRecord& rec) {
+    if (rec.seq < oldest) {
+      oldest = rec.seq;
+      tid = static_cast<std::uint32_t>(t);
     }
-    ctx->tid_pins.erase(it);
-  }
+  });
+  (void)device_.rcv_array().unprogram(ctx->hw_ctxt, tid);
+  (void)release_tid(f, tid);
   StructImage fd = image(ctx->filedata, "hfi1_filedata");
-  fd.write<std::uint64_t>("tid_used", fd.read<std::uint64_t>("tid_used") - freed);
+  fd.write<std::uint64_t>("tid_used", fd.read<std::uint64_t>("tid_used") - 1);
   linux_.profiler().bump("hfi.tid.quota_evict");
-  return freed;
+  return Status::success();
 }
 
 }  // namespace pd::hfi

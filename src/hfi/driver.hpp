@@ -14,10 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/flat_map.hpp"
 #include "src/hfi/layouts.hpp"
 #include "src/hfi/uapi.hpp"
 #include "src/hw/hfi_device.hpp"
@@ -66,17 +67,22 @@ class HfiDriver final : public os::CharDevice {
   mem::PhysAddr filedata_image(const os::OpenFile& f) const;
   mem::PhysAddr ctxtdata_image(const os::OpenFile& f) const;
 
-  /// Per-context TID accounting shared with the fast path.
-  Status account_tid_pin(os::OpenFile& f, std::uint32_t tid, mem::PinnedPages pins);
-  Result<mem::PinnedPages> release_tid_pin(os::OpenFile& f, std::uint32_t tid);
+  /// Per-context TID records shared with the fast path: one per programmed
+  /// TID, holding its registration sequence and, on the Linux path, the one
+  /// frame it gup-pinned. Fast-path TIDs cover LWK memory pinned at mmap and
+  /// hold no frame.
+  void record_tid(os::OpenFile& f, std::uint32_t tid,
+                  std::optional<mem::PhysAddr> frame = std::nullopt);
+  /// Drops `tid`'s record and puts its frame; whether it held one.
+  bool release_tid(os::OpenFile& f, std::uint32_t tid);
 
   /// Quota reclamation (`Config::hfi_tid_quota_evict`): unprogram and unpin
-  /// this context's least-recently-registered TID entry. Strictly per-tenant
-  /// — only entries the context itself owns are eligible, so a neighbour at
-  /// quota can never push out this context's registrations. Returns the
-  /// number of RcvArray accounting units freed (pages on the Linux path,
-  /// extents on the pico path), or ENOENT when the context owns nothing.
-  Result<std::uint64_t> evict_lru_tid(os::OpenFile& f);
+  /// this context's least-recently-registered live TID entry, freeing one
+  /// RcvArray accounting unit (a page on the Linux path, an extent on the
+  /// pico path). Strictly per-tenant — only entries the context itself owns
+  /// are eligible, so a neighbour at quota can never push out this
+  /// context's registrations. ENOENT when the context owns nothing.
+  Status evict_lru_tid(os::OpenFile& f);
 
   /// --- instrumentation (drives the §4.3 descriptor-size verification) ----
   std::uint64_t writev_calls() const { return writev_calls_; }
@@ -88,13 +94,16 @@ class HfiDriver final : public os::CharDevice {
   mem::VirtAddr completion_callback_text() const;
 
  private:
+  struct TidRecord {
+    std::uint64_t seq = 0;  // registration order; eviction takes the lowest
+    std::optional<mem::PhysAddr> frame;  // Linux path: the page it gup-pinned
+  };
   struct FileCtx {
     mem::PhysAddr filedata = 0;
     mem::PhysAddr ctxtdata = 0;
     int hw_ctxt = -1;
-    std::map<std::uint32_t, mem::PinnedPages> tid_pins;
-    // Registration order (front = oldest) driving per-tenant LRU eviction.
-    std::vector<std::uint32_t> tid_order;
+    FlatMap<TidRecord> tids;  // keyed by TID
+    std::uint64_t next_tid_seq = 0;
   };
 
   FileCtx* fctx(const os::OpenFile& f) const { return static_cast<FileCtx*>(f.driver_ctx); }

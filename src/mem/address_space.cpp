@@ -95,14 +95,14 @@ Result<VirtAddr> AddressSpace::mmap_anonymous(std::uint64_t len, std::uint32_t p
     assert(s.ok());
     (void)s;
     backings.push_back(Backing{*pa, chunk, leaf});
-    // Pin every 4 KiB frame in the chunk.
-    for (std::uint64_t off = 0; off < chunk; off += kPage4K) ++pin_counts_[*pa + off];
     cur += chunk;
     remaining -= chunk;
   }
+  // The VMA is the pin: its frames stay pinned until munmap releases them.
   Vma vma{*va, *va + len, prot, /*pinned=*/true, /*device=*/false};
   vmas_.emplace(*va, vma);
   backings_.emplace(*va, std::move(backings));
+  vma_pinned_frames_ += len / kPage4K;
   return *va;
 }
 
@@ -120,14 +120,8 @@ Result<VirtAddr> AddressSpace::mmap_device(PhysAddr pa, std::uint64_t len, std::
 void AddressSpace::release_backing(const Vma& vma) {
   auto it = backings_.find(vma.start);
   if (it == backings_.end()) return;
-  for (const auto& b : it->second) {
-    if (vma.pinned)
-      for (std::uint64_t off = 0; off < b.len; off += kPage4K) {
-        auto pin = pin_counts_.find(b.pa + off);
-        if (pin != pin_counts_.end() && --pin->second == 0) pin_counts_.erase(pin);
-      }
-    phys_.free(b.pa, b.len);
-  }
+  if (vma.pinned) vma_pinned_frames_ -= (vma.end - vma.start) / kPage4K;
+  for (const auto& b : it->second) phys_.free(b.pa, b.len);
   backings_.erase(it);
 }
 
@@ -168,18 +162,20 @@ Result<PinnedPages> AddressSpace::get_user_pages(VirtAddr va, std::uint64_t len)
       return Errno::efault;
     }
     const PhysAddr frame = page_floor(t->pa, kPage4K);
-    ++pin_counts_[frame];
+    ++gup_pins_[frame / kPage4K];
     pages.frames.push_back(frame);
   }
   return pages;
 }
 
 void AddressSpace::put_user_pages(const PinnedPages& pages) {
-  for (PhysAddr frame : pages.frames) {
-    auto it = pin_counts_.find(frame);
-    assert(it != pin_counts_.end());
-    if (--it->second == 0) pin_counts_.erase(it);
-  }
+  for (PhysAddr frame : pages.frames) put_user_page(frame);
+}
+
+void AddressSpace::put_user_page(PhysAddr frame) {
+  std::uint32_t* pins = gup_pins_.find(frame / kPage4K);
+  assert(pins != nullptr && "put_user_page on a frame without a gup pin");
+  if (--*pins == 0) gup_pins_.erase(frame / kPage4K);
 }
 
 Result<std::vector<PhysExtent>> AddressSpace::physical_extents(VirtAddr va, std::uint64_t len,
@@ -235,12 +231,27 @@ const Vma* AddressSpace::find_vma(VirtAddr va) const {
   return va < it->second.end ? &it->second : nullptr;
 }
 
+bool AddressSpace::backs_pinned_vma(PhysAddr frame) const {
+  for (const auto& [start, list] : backings_) {
+    if (!vmas_.at(start).pinned) continue;
+    for (const auto& b : list)
+      if (frame >= b.pa && frame < b.pa + b.len) return true;
+  }
+  return false;
+}
+
 std::uint64_t AddressSpace::pinned_frame_count() const {
-  return static_cast<std::uint64_t>(pin_counts_.size());
+  // Frames of live pinned VMAs, plus each gup-pinned frame that backs none.
+  std::uint64_t n = vma_pinned_frames_;
+  gup_pins_.for_each([&](std::uint64_t frame, std::uint32_t) {
+    if (!backs_pinned_vma(frame * kPage4K)) ++n;
+  });
+  return n;
 }
 
 bool AddressSpace::is_pinned(PhysAddr frame) const {
-  return pin_counts_.count(page_floor(frame, kPage4K)) > 0;
+  return gup_pins_.find(frame / kPage4K) != nullptr ||
+         backs_pinned_vma(page_floor(frame, kPage4K));
 }
 
 double AddressSpace::large_page_fraction() const {

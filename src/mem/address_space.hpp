@@ -13,13 +13,17 @@
 //     are backed by the largest available physically contiguous blocks,
 //     using 2 MiB page-table leaves when alignment permits, and are pinned
 //     at creation (unmapped only by explicit user request).
+//
+// Pins are kept at the granularity each kernel pins at: an LWK mapping is
+// pinned as a whole by its VMA (`Vma::pinned`), and get_user_pages() pins
+// count per 4 KiB frame in an open-addressed table (`FlatMap`).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/flat_map.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
 #include "src/mem/page_table.hpp"
@@ -35,7 +39,7 @@ struct Vma {
   VirtAddr start = 0;
   VirtAddr end = 0;  // exclusive
   std::uint32_t prot = 0;
-  bool pinned = false;
+  bool pinned = false;  // its frames stay pinned for the VMA's whole life
   bool device = false;  // device mapping (no physical frames owned)
 };
 
@@ -79,6 +83,8 @@ class AddressSpace {
   /// [va, va+len). Fails with EFAULT if any page is unmapped.
   Result<PinnedPages> get_user_pages(VirtAddr va, std::uint64_t len);
   void put_user_pages(const PinnedPages& pages);
+  /// Release one frame's get_user_pages() pin.
+  void put_user_page(PhysAddr frame);
 
   /// LWK-style page-table walk: physically contiguous runs covering
   /// [va, va+len), each at most `max_extent` bytes (0 = unlimited).
@@ -104,6 +110,12 @@ class AddressSpace {
 
   const Vma* find_vma(VirtAddr va) const;
   std::size_t vma_count() const { return vmas_.size(); }
+
+  /// A 4 KiB frame is pinned while it backs a live pinned VMA or holds a
+  /// get_user_pages() pin, and counts once when both hold — so a gup pin
+  /// on LWK memory counts, and so does one that outlives a munmap. Both
+  /// accessors are exact; they scan the live mappings, so they are meant
+  /// for checks, not hot paths.
   std::uint64_t pinned_frame_count() const;
   bool is_pinned(PhysAddr frame) const;
 
@@ -119,6 +131,7 @@ class AddressSpace {
 
   Result<VirtAddr> reserve_va(std::uint64_t len, std::uint64_t align);
   void release_backing(const Vma& vma);
+  bool backs_pinned_vma(PhysAddr frame) const;
 
   PhysMap& phys_;
   BackingPolicy policy_;
@@ -130,7 +143,8 @@ class AddressSpace {
 
   std::map<VirtAddr, Vma> vmas_;                         // keyed by start
   std::map<VirtAddr, std::vector<Backing>> backings_;    // keyed by VMA start
-  std::unordered_map<PhysAddr, std::uint32_t> pin_counts_;  // per 4 KiB frame
+  std::uint64_t vma_pinned_frames_ = 0;  // 4 KiB frames backing live pinned VMAs
+  FlatMap<std::uint32_t> gup_pins_;      // frame number -> get_user_pages() pins
 };
 
 }  // namespace pd::mem

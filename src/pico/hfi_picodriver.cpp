@@ -250,8 +250,7 @@ sim::Task<Result<long>> HfiPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long
       while (fd_tid_used_.read(fd_bytes.data()) + extents.size() > quota) {
         if (!cfg.hfi_tid_quota_evict) co_return Errno::enospc;
         co_await mck_.engine().delay(cfg.tid_program_per_entry);
-        auto freed = driver_.evict_lru_tid(f);
-        if (!freed.ok()) co_return Errno::enospc;
+        if (!driver_.evict_lru_tid(f).ok()) co_return Errno::enospc;
         mck_.profiler().bump("pico.tid.quota_evict");
       }
 
@@ -263,15 +262,15 @@ sim::Task<Result<long>> HfiPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long
         if (!tid.ok()) {
           for (const std::uint32_t t : args->tids) {
             (void)driver_.device().rcv_array().unprogram(f.ctxt, t);
-            (void)driver_.release_tid_pin(f, t);
+            (void)driver_.release_tid(f, t);
           }
           args->tids.clear();
           co_return tid.error();
         }
         args->tids.push_back(*tid);
-        // LWK memory is already pinned; record an empty pin set so the
+        // LWK memory is already pinned: the record holds no frame, so the
         // shared TID bookkeeping (and TID_FREE) stays symmetric.
-        (void)driver_.account_tid_pin(f, *tid, mem::PinnedPages{});
+        driver_.record_tid(f, *tid);
       }
       fd_tid_used_.write(fd_bytes.data(),
                          fd_tid_used_.read(fd_bytes.data()) + extents.size());
@@ -287,15 +286,20 @@ sim::Task<Result<long>> HfiPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long
                                        cfg.tid_program_per_entry / 2);
       auto fd_bytes = image(driver_.filedata_image(f), fd_image_size_);
       if (fd_bytes.empty()) co_return Errno::einval;
+      // Stop at the first TID that cannot be unprogrammed, but account for
+      // every one released before it (the Linux path's semantics).
       std::uint64_t released = 0;
+      bool failed = false;
       for (const std::uint32_t tid : args->tids) {
-        if (!driver_.device().rcv_array().unprogram(f.ctxt, tid).ok())
-          co_return Errno::einval;
-        auto pins = driver_.release_tid_pin(f, tid);
-        if (pins.ok() && !pins->frames.empty()) as.put_user_pages(*pins);
+        if (!driver_.device().rcv_array().unprogram(f.ctxt, tid).ok()) {
+          failed = true;
+          break;
+        }
+        (void)driver_.release_tid(f, tid);
         ++released;
       }
       fd_tid_used_.write(fd_bytes.data(), fd_tid_used_.read(fd_bytes.data()) - released);
+      if (failed) co_return Errno::einval;
       co_return 0L;
     }
 

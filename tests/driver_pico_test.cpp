@@ -368,6 +368,46 @@ TEST(Tid, PicoQuotaEvictionRecyclesOwnShareOnly) {
   c.engine.run();
 }
 
+TEST(Tid, PicoTidFreeFailingPartwayReleasesWhatItFreed) {
+  // The fast path's TID_FREE keeps the Linux driver's semantics: it stops
+  // with EINVAL at the first TID it cannot unprogram, and the entries it
+  // freed before that give their quota back. 4-entry quota, as above.
+  hw::HfiConfig hc;
+  hc.rcv_array_entries = 256;
+  MiniCluster c(1, os::OsMode::mckernel_hfi, os::Config{}, hc);
+  auto proc = c.make_process(0, 0, os::OsMode::mckernel_hfi);
+  sim::spawn(c.engine, [](MiniCluster& cl, os::Process& p) -> sim::Task<> {
+    auto fd = co_await p.open(hfi::kDeviceName);
+    CO_ASSERT_TRUE(fd.ok());
+    auto reg = [](os::Process& pr, int file) -> sim::Task<Result<std::uint32_t>> {
+      auto buf = co_await pr.mmap_anon(4_KiB);
+      if (!buf.ok()) co_return buf.error();
+      hfi::TidUpdateArgs args;
+      args.vaddr = *buf;
+      args.length = 4_KiB;
+      auto r = co_await pr.ioctl(file, hfi::kTidUpdate, &args);
+      if (!r.ok()) co_return r.error();
+      if (args.tids.size() != 1) co_return Errno::eio;
+      co_return args.tids[0];
+    };
+    std::vector<std::uint32_t> tids;
+    for (int i = 0; i < 4; ++i) {
+      auto t = co_await reg(p, *fd);
+      CO_ASSERT_TRUE(t.ok());
+      tids.push_back(*t);
+    }
+    hfi::TidFreeArgs free_args;
+    free_args.tids = {tids[0], tids[1], 255};  // 255 is not owned
+    EXPECT_EQ((co_await p.ioctl(*fd, hfi::kTidFree, &free_args)).error(), Errno::einval);
+    EXPECT_EQ(cl.nodes[0].pico->fast_tid_frees(), 1u);
+    EXPECT_EQ(cl.nodes[0].device->rcv_array().in_use(), 2u);
+    for (int i = 0; i < 2; ++i)
+      EXPECT_TRUE((co_await reg(p, *fd)).ok()) << "freed entry " << i << " is reusable";
+    EXPECT_EQ(cl.nodes[0].device->rcv_array().in_use(), 4u);
+  }(c, *proc));
+  c.engine.run();
+}
+
 TEST(Tid, ExtentCacheFileQuotaEvictsOwnColdestCacheOnly) {
   // `pico_extent_quota_files` caps per-file extent caches per process: a
   // process opening file after file drops its *own* coldest cache at the

@@ -178,6 +178,93 @@ TEST(HfiDriverOps, TidQuotaWithoutEvictionStaysEnospc) {
   f.engine.run();
 }
 
+TEST(HfiDriverOps, TidQuotaEvictionTakesOldestLiveRegistration) {
+  // Freed registrations leave the LRU order: after the oldest and a middle
+  // entry are freed, going over quota evicts the oldest entry still live.
+  os::Config cfg;
+  cfg.hfi_tid_quota_evict = true;
+  QuotaFixture f(cfg);
+  os::Process proc(f.linux_kernel, f.phys, 0, 0, 1);
+  sim::spawn(f.engine, [](QuotaFixture& fx, os::Process& p) -> sim::Task<> {
+    auto fd = co_await p.open(kDeviceName);
+    CO_ASSERT_TRUE(fd.ok());
+    auto update = [](os::Process& pr, int file, std::uint64_t len)
+        -> sim::Task<Result<std::pair<mem::VirtAddr, std::vector<std::uint32_t>>>> {
+      auto buf = co_await pr.mmap_anon(len);
+      if (!buf.ok()) co_return buf.error();
+      TidUpdateArgs args;
+      args.vaddr = *buf;
+      args.length = len;
+      auto r = co_await pr.ioctl(file, kTidUpdate, &args);
+      if (!r.ok()) co_return r.error();
+      co_return std::pair{*buf, args.tids};
+    };
+    auto first = co_await update(p, *fd, 16_KiB);  // t0..t3, the whole quota
+    CO_ASSERT_TRUE(first.ok() && first->second.size() == 4u);
+    const auto& t = first->second;
+    const mem::PhysAddr frame1 = p.as().translate(first->first + 4_KiB)->pa;
+    TidFreeArgs free_args;
+    free_args.tids = {t[0], t[2]};  // the oldest and a middle registration
+    CO_ASSERT_TRUE((co_await p.ioctl(*fd, kTidFree, &free_args)).ok());
+    EXPECT_EQ(p.as().pinned_frame_count(), 2u);
+
+    auto second = co_await update(p, *fd, 8_KiB);  // fits: 2 live + 2
+    CO_ASSERT_TRUE(second.ok() && second->second.size() == 2u);
+    EXPECT_EQ(fx.linux_kernel.profiler().counter("hfi.tid.quota_evict"), 0u);
+    EXPECT_TRUE(p.as().is_pinned(frame1));
+
+    auto third = co_await update(p, *fd, 4_KiB);  // one over quota
+    CO_ASSERT_TRUE(third.ok() && third->second.size() == 1u);
+    EXPECT_EQ(fx.linux_kernel.profiler().counter("hfi.tid.quota_evict"), 1u);
+    EXPECT_EQ(fx.device.rcv_array().entry(t[1]), nullptr)
+        << "t1 is the oldest live registration once t0 is freed";
+    EXPECT_NE(fx.device.rcv_array().entry(t[3]), nullptr);
+    for (const auto tid : second->second) EXPECT_NE(fx.device.rcv_array().entry(tid), nullptr);
+    EXPECT_NE(fx.device.rcv_array().entry(third->second[0]), nullptr);
+    EXPECT_EQ(fx.device.rcv_array().in_use(), 4u);
+    EXPECT_FALSE(p.as().is_pinned(frame1)) << "the victim's frame is put";
+    EXPECT_EQ(p.as().pinned_frame_count(), 4u);
+    CO_ASSERT_TRUE((co_await p.close_fd(*fd)).ok());
+    EXPECT_EQ(p.as().pinned_frame_count(), 0u);
+  }(f, proc));
+  f.engine.run();
+}
+
+TEST(HfiDriverOps, TidFreeFailingPartwayReleasesWhatItFreed) {
+  // hfi1's user_exp_rcv_clear semantics: TID_FREE stops with EINVAL at the
+  // first TID it cannot unprogram, and the entries freed before it give
+  // their share of the quota back.
+  QuotaFixture f(os::Config{});
+  os::Process proc(f.linux_kernel, f.phys, 0, 0, 1);
+  sim::spawn(f.engine, [](QuotaFixture& fx, os::Process& p) -> sim::Task<> {
+    auto fd = co_await p.open(kDeviceName);
+    CO_ASSERT_TRUE(fd.ok());
+    auto buf = co_await p.mmap_anon(16_KiB);
+    CO_ASSERT_TRUE(buf.ok());
+    TidUpdateArgs args;
+    args.vaddr = *buf;
+    args.length = 16_KiB;
+    CO_ASSERT_TRUE((co_await p.ioctl(*fd, kTidUpdate, &args)).ok());
+    CO_ASSERT_TRUE(args.tids.size() == 4u);
+    TidFreeArgs free_args;
+    free_args.tids = {args.tids[0], args.tids[1], 255};  // 255 is not owned
+    EXPECT_EQ((co_await p.ioctl(*fd, kTidFree, &free_args)).error(), Errno::einval);
+    EXPECT_EQ(fx.device.rcv_array().in_use(), 2u);
+    EXPECT_EQ(p.as().pinned_frame_count(), 2u);
+
+    auto buf2 = co_await p.mmap_anon(8_KiB);
+    CO_ASSERT_TRUE(buf2.ok());
+    TidUpdateArgs args2;
+    args2.vaddr = *buf2;
+    args2.length = 8_KiB;
+    auto r = co_await p.ioctl(*fd, kTidUpdate, &args2);
+    EXPECT_TRUE(r.ok()) << "two freed entries leave room for two pages";
+    EXPECT_EQ(fx.device.rcv_array().in_use(), 4u);
+    EXPECT_EQ(p.as().pinned_frame_count(), 4u);
+  }(f, proc));
+  f.engine.run();
+}
+
 TEST(HfiDriverOps, MmapBoundsChecked) {
   DriverFixture f;
   os::Process proc(f.linux_kernel, f.phys, 0, 0, 4);

@@ -90,6 +90,45 @@ TEST(AddressSpaceLwk, MappingsArePinnedAtCreation) {
   EXPECT_EQ(as.pinned_frame_count(), 0u);
 }
 
+TEST(AddressSpaceLwk, FailedMmapLeavesNoPins) {
+  // 8 MiB of memory in all cannot back 16 MiB: the mapping fails partway
+  // through, after some chunks were already allocated, and its rollback
+  // must leave neither pins nor allocated frames behind.
+  PhysMap phys = PhysMap::knl(4_MiB, 4_MiB, 1);
+  const std::uint64_t free_before =
+      phys.free_bytes(MemKind::mcdram) + phys.free_bytes(MemKind::ddr);
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  EXPECT_EQ(as.mmap_anonymous(16_MiB, kProtRead | kProtWrite).error(), Errno::enomem);
+  EXPECT_EQ(as.pinned_frame_count(), 0u);
+  EXPECT_EQ(as.vma_count(), 0u);
+  EXPECT_EQ(phys.free_bytes(MemKind::mcdram) + phys.free_bytes(MemKind::ddr), free_before);
+  // The memory is whole again: a mapping that fits succeeds and is pinned.
+  auto va = as.mmap_anonymous(4_MiB, kProtRead | kProtWrite);
+  ASSERT_TRUE(va.ok());
+  EXPECT_EQ(as.pinned_frame_count(), 4_MiB / kPage4K);
+}
+
+TEST(AddressSpaceLwk, GupPinsUnionWithVmaPins) {
+  // A frame counts once whether its VMA, a gup pin or both hold it, and a
+  // gup pin keeps counting after munmap until it is put.
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  auto va = as.mmap_anonymous(64_KiB, kProtRead | kProtWrite);
+  ASSERT_TRUE(va.ok());
+  auto pages = as.get_user_pages(*va, 16_KiB);
+  ASSERT_TRUE(pages.ok());
+  EXPECT_EQ(as.pinned_frame_count(), 64_KiB / kPage4K) << "gup on LWK memory adds no frame";
+  ASSERT_TRUE(as.munmap(*va, 64_KiB).ok());
+  EXPECT_EQ(as.pinned_frame_count(), 4u) << "gup pins outlive the VMA";
+  for (const PhysAddr frame : pages->frames) EXPECT_TRUE(as.is_pinned(frame));
+  as.put_user_page(pages->frames[0]);
+  EXPECT_FALSE(as.is_pinned(pages->frames[0]));
+  EXPECT_EQ(as.pinned_frame_count(), 3u);
+  pages->frames.erase(pages->frames.begin());
+  as.put_user_pages(*pages);
+  EXPECT_EQ(as.pinned_frame_count(), 0u);
+}
+
 TEST(AddressSpaceLwk, PhysicallyContiguousBacking) {
   PhysMap phys = small_map();
   AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);

@@ -10,7 +10,15 @@
 # runs, so short runs still cover one full pass), and prints the top 20
 # entries of the flat profile. Workloads: umt_modes, umt_ikc_ring,
 # qbox_churn. The report itself goes to stderr; gmon.out stays in
-# build-gprof/ for `gprof -b build-gprof/perfbench build-gprof/gmon.out`.
+# build-gprof/ for `gprof -b build-gprof/perfbench.gprof build-gprof/gmon.out`.
+#
+# gprof drops symbols whose names contain '.' (numbered, .clone and
+# .constprop clones aside) and charges their samples to whichever function
+# precedes them in the binary. GCC names coroutine bodies `<fn>.Frame.actor`
+# and other clones `.cold`, `.isra.N` or `.part.N`, so the profile is read
+# against perfbench.gprof, a copy whose dotted function symbols are renamed
+# to their demangled, dot-free form, e.g.
+# `pd::hfi::HfiDriver::ioctl(pd::os::OpenFile&, unsigned long, void*) [actor]`.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -34,5 +42,19 @@ cd "$out"
 rm -f gmon.out
 ./perfbench --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >&2
 
+# Rename every dotted function symbol: demangle it, shorten a coroutine
+# body's `f(f(args)::<frame>*) [clone .actor]` to `f(args) [actor]`, then
+# drop the remaining dots. Names that collide get a ` #n` suffix, since
+# objcopy needs distinct targets; the response file quotes their spaces.
+nm --defined-only perfbench | awk '$2 ~ /^[tTwW]$/ && $3 ~ /\./ {print $3}' | sort -u \
+  > dotted.syms
+c++filt < dotted.syms |
+  sed -E -e 's/^(.+)\(\1(\(.*\)( const)?)::_Z[[:alnum:]_]*\.Frame\*\)/\1\2/' \
+    -e 's/ \[clone \.([^]]*)\]/ [\1]/g' -e 's/[.$]/_/g' |
+  paste -d '\t' dotted.syms - |
+  awk -F '\t' '{ n = $2; if (seen[n]++) n = n " #" seen[n]; gsub(/[\\"]/, "\\\\&", n)
+                 printf "--redefine-sym \"%s=%s\"\n", $1, n }' > redefine.args
+objcopy @redefine.args perfbench perfbench.gprof
+
 # Flat profile: a 5-line header, then one line per function by self time.
-gprof -b -p perfbench gmon.out | head -n 25
+gprof -b -p perfbench.gprof gmon.out | head -n 25
