@@ -126,9 +126,11 @@ sim::Task<Result<long>> DoomDriver::submit_batch(os::OpenFile& f, DoomSubmitArgs
   for (const DoomUserCmd& c : args.cmds) {
     if (c.bytes == 0) co_return Errno::einval;
     if (c.src_va == 0 && c.dva == 0) co_return Errno::einval;
-    if (c.src_va != 0)
+    if (c.src_va != 0) {
+      if (!mem::user_range_ok(c.src_va, c.bytes)) co_return Errno::efault;
       total_pages += mem::page_ceil(c.src_va + c.bytes, mem::kPage4K) / mem::kPage4K -
                      mem::page_floor(c.src_va, mem::kPage4K) / mem::kPage4K;
+    }
   }
   co_await linux_.engine().delay(static_cast<Dur>(total_pages) * cfg.gup_per_page);
 
@@ -312,6 +314,7 @@ sim::Task<Result<long>> DoomDriver::ioctl(os::OpenFile& f, unsigned long cmd, vo
       auto* args = static_cast<DoomMapBufferArgs*>(arg);
       if (args == nullptr || args->len == 0) co_return Errno::einval;
       if (ctx->hw_ctxt < 0) co_return Errno::enodev;
+      if (!mem::user_range_ok(args->va, args->len)) co_return Errno::efault;
       mem::AddressSpace& as = f.proc->as();
       const std::uint64_t pages =
           mem::page_ceil(args->va + args->len, mem::kPage4K) / mem::kPage4K -

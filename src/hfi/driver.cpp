@@ -114,6 +114,7 @@ sim::Task<Result<long>> HfiDriver::writev(os::OpenFile& f, std::span<const os::I
   std::uint64_t total_pages = 0;
   std::vector<mem::PinnedPages> pins;
   for (std::size_t i = 1; i < iov.size(); ++i) {
+    if (!mem::user_range_ok(iov[i].base, iov[i].len)) co_return Errno::efault;
     total_bytes += iov[i].len;
     total_pages += mem::page_ceil(iov[i].base + iov[i].len, mem::kPage4K) / mem::kPage4K -
                    mem::page_floor(iov[i].base, mem::kPage4K) / mem::kPage4K;
@@ -218,6 +219,7 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
     case kTidUpdate: {
       auto* args = static_cast<TidUpdateArgs*>(arg);
       if (args == nullptr || args->length == 0) co_return Errno::einval;
+      if (!mem::user_range_ok(args->vaddr, args->length)) co_return Errno::efault;
       mem::AddressSpace& as = f.proc->as();
 
       const std::uint64_t pages =

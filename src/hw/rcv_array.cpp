@@ -1,6 +1,15 @@
 #include "src/hw/rcv_array.hpp"
 
+#include <new>
+#include <span>
+
 namespace pd::hw {
+
+RcvArray::RcvArray(std::uint32_t entries)
+    : capacity_(entries),
+      entries_(static_cast<TidEntry*>(std::calloc(entries, sizeof(TidEntry)))) {
+  if (entries_ == nullptr && entries != 0) throw std::bad_alloc();
+}
 
 Result<std::uint32_t> RcvArray::program(int ctxt, mem::PhysAddr pa, std::uint64_t len) {
   if (len == 0) return Errno::einval;
@@ -35,7 +44,7 @@ std::size_t RcvArray::unprogram_all(int ctxt) {
   auto it = per_ctxt_.find(ctxt);
   if (it == per_ctxt_.end() || it->second == 0) return 0;
   std::size_t freed = 0;
-  for (auto& e : entries_) {
+  for (TidEntry& e : std::span(entries_.get(), capacity_)) {
     if (e.valid && e.owner_ctxt == ctxt) {
       e = TidEntry{};
       --in_use_;

@@ -7,15 +7,18 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "src/common/status.hpp"
 #include "src/mem/types.hpp"
 
 namespace pd::hw {
 
+/// An aggregate, so it can live in calloc'd storage: all-zero bytes read
+/// as a free entry (`valid == false`), the same as `TidEntry{}`.
 struct TidEntry {
   mem::PhysAddr pa = 0;
   std::uint64_t len = 0;
@@ -25,7 +28,9 @@ struct TidEntry {
 
 class RcvArray {
  public:
-  explicit RcvArray(std::uint32_t entries) : entries_(entries) {}
+  /// The table comes from calloc, which leaves pages fresh from the kernel
+  /// untouched until a TID is first programmed on them.
+  explicit RcvArray(std::uint32_t entries);
 
   /// Program a free entry; returns the TID index.
   Result<std::uint32_t> program(int ctxt, mem::PhysAddr pa, std::uint64_t len);
@@ -37,11 +42,16 @@ class RcvArray {
   std::size_t unprogram_all(int ctxt);
 
   const TidEntry* entry(std::uint32_t tid) const;
-  std::uint32_t capacity() const { return static_cast<std::uint32_t>(entries_.size()); }
+  std::uint32_t capacity() const { return capacity_; }
   std::uint32_t in_use() const { return in_use_; }
 
  private:
-  std::vector<TidEntry> entries_;
+  struct Free {
+    void operator()(TidEntry* p) const { std::free(p); }
+  };
+
+  std::uint32_t capacity_;
+  std::unique_ptr<TidEntry[], Free> entries_;
   std::map<int, std::uint32_t> per_ctxt_;  // live entries per context
   std::uint32_t in_use_ = 0;
   std::uint32_t next_hint_ = 0;

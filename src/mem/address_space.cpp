@@ -138,7 +138,7 @@ Status AddressSpace::munmap(VirtAddr addr, std::uint64_t len) {
 }
 
 bool AddressSpace::range_mapped(VirtAddr va, std::uint64_t len) const {
-  if (len == 0) return false;
+  if (len == 0 || !user_range_ok(va, len)) return false;
   // VMAs are page aligned, so covering every byte covers every page; hop
   // from VMA to VMA until the range is covered or a gap shows.
   for (VirtAddr cur = va; cur < va + len;) {
@@ -151,6 +151,8 @@ bool AddressSpace::range_mapped(VirtAddr va, std::uint64_t len) const {
 
 Result<PinnedPages> AddressSpace::get_user_pages(VirtAddr va, std::uint64_t len) {
   if (len == 0) return Errno::einval;
+  // Check the range is mapped before sizing the frame list from `len`.
+  if (!range_mapped(va, len)) return Errno::efault;
   const VirtAddr start = page_floor(va, kPage4K);
   const VirtAddr end = page_ceil(va + len, kPage4K);
   PinnedPages pages;
@@ -190,6 +192,7 @@ Status AddressSpace::physical_extents(VirtAddr va, std::uint64_t len, std::uint6
                                       std::vector<PhysExtent>& extents) const {
   extents.clear();
   if (len == 0) return Errno::einval;
+  if (!user_range_ok(va, len)) return Errno::efault;
   VirtAddr cur = va;
   const VirtAddr end = va + len;
   while (cur < end) {

@@ -80,7 +80,8 @@ class AddressSpace {
   std::optional<Translation> translate(VirtAddr va) const { return pt_.translate(va); }
 
   /// Linux-style get_user_pages(): pin and return the 4 KiB frames backing
-  /// [va, va+len). Fails with EFAULT if any page is unmapped.
+  /// [va, va+len). Fails with EFAULT if any page is unmapped or the range
+  /// fails `user_range_ok`.
   Result<PinnedPages> get_user_pages(VirtAddr va, std::uint64_t len);
   void put_user_pages(const PinnedPages& pages);
   /// Release one frame's get_user_pages() pin.
@@ -88,7 +89,8 @@ class AddressSpace {
 
   /// LWK-style page-table walk: physically contiguous runs covering
   /// [va, va+len), each at most `max_extent` bytes (0 = unlimited).
-  /// Requires the range to be mapped; EFAULT otherwise.
+  /// Requires the range to be mapped and to pass `user_range_ok`; EFAULT
+  /// otherwise.
   Result<std::vector<PhysExtent>> physical_extents(VirtAddr va, std::uint64_t len,
                                                    std::uint64_t max_extent) const;
 
@@ -102,7 +104,8 @@ class AddressSpace {
   /// ExtentCache) filled at the current generation needs no further check.
   std::uint64_t map_generation() const { return map_generation_; }
 
-  /// Whether every page of [va, va+len) lies in a live VMA. Exact proof
+  /// Whether every page of [va, va+len) lies in a live VMA (false for a
+  /// range failing `user_range_ok`). Exact proof
   /// that a translation cached at any earlier generation is still valid:
   /// mmap never hands out a virtual address twice (the cursor only grows),
   /// so a page that is mapped now still maps the frame it was cached with.

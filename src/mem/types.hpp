@@ -22,6 +22,16 @@ constexpr bool page_aligned(std::uint64_t addr, std::uint64_t page) {
   return (addr & (page - 1)) == 0;
 }
 
+/// End of the user address range (x86_64's TASK_SIZE_MAX: 47 bits less a
+/// guard page).
+constexpr VirtAddr kUserVaEnd = 0x0000'7FFF'FFFF'F000ull;
+
+/// Linux's access_ok(): [va, va+len) does not wrap and ends inside the user
+/// address range. Check a user range with this before sizing anything from it.
+constexpr bool user_range_ok(VirtAddr va, std::uint64_t len) {
+  return len <= kUserVaEnd && va <= kUserVaEnd - len;
+}
+
 /// Memory technology of a NUMA domain (KNL: MCDRAM vs DDR4).
 enum class MemKind : std::uint8_t { mcdram, ddr };
 

@@ -10,7 +10,7 @@ constexpr std::uint64_t kGiB = 1ull << 30;
 KernelLayout linux_layout() {
   KernelLayout l;
   l.kernel_name = "linux";
-  l.user = {"user", 0x0000'0000'0000'0000ull, 0x0000'7FFF'FFFF'F000ull};
+  l.user = {"user", 0, kUserVaEnd};
   l.direct_map = {"direct map of all phys (64TB)", 0xFFFF'8800'0000'0000ull,
                   0xFFFF'8800'0000'0000ull + 64 * kTiB};
   l.valloc = {"vmalloc()/ioremap()", 0xFFFF'C900'0000'0000ull, 0xFFFF'E8FF'FFFF'FFFFull};
@@ -22,7 +22,7 @@ KernelLayout linux_layout() {
 KernelLayout mckernel_original_layout() {
   KernelLayout l;
   l.kernel_name = "mckernel-original";
-  l.user = {"user", 0x0000'0000'0000'0000ull, 0x0000'7FFF'FFFF'F000ull};
+  l.user = {"user", 0, kUserVaEnd};
   // Original McKernel: own small direct map at its own base, image linked
   // at the same VA as the Linux image (they are separate address spaces,
   // so this overlap was harmless — until PicoDriver needed mutual access).
@@ -38,7 +38,7 @@ KernelLayout mckernel_unified_layout() {
   const KernelLayout linux_side = linux_layout();
   KernelLayout l;
   l.kernel_name = "mckernel-picodriver";
-  l.user = {"user", 0x0000'0000'0000'0000ull, 0x0000'7FFF'FFFF'F000ull};
+  l.user = {"user", 0, kUserVaEnd};
   // Requirement 2: alias the Linux direct map exactly.
   l.direct_map = linux_side.direct_map;
   l.direct_map.name = "direct map of all phys (64TB, shared with Linux)";

@@ -211,6 +211,35 @@ TEST(DoomSlowPath, MapBufferWindowIsPersistentUntilClose) {
   r.engine.run();
 }
 
+TEST(DoomSlowPath, WrappingRangeFaults) {
+  // A length whose end wraps past 2^64 is refused with EFAULT before a page
+  // count is derived from it: by submit and map on the Linux driver, and by
+  // submit on the fast path.
+  for (const Mode mode : {Mode::linux_native, Mode::fastpath}) {
+    SCOPED_TRACE(mode == Mode::linux_native ? "linux" : "fastpath");
+    DoomRig r(mode);
+    auto proc = r.make_process(0, mode);
+    sim::spawn(r.engine, [](DoomRig& rig, os::Process& p, Mode m) -> sim::Task<> {
+      auto fd = co_await open_ctx(p);
+      CO_ASSERT_TRUE(fd.ok());
+      auto buf = co_await p.mmap_anon(64_KiB);
+      CO_ASSERT_TRUE(buf.ok());
+      const std::uint64_t wrapping = ~std::uint64_t{0} - *buf + 2;  // *buf + len == 1
+      doom::DoomSubmitArgs args;
+      args.cmds.push_back({static_cast<std::uint32_t>(hw::DoomOp::copy_rect), *buf, 0, wrapping});
+      EXPECT_EQ((co_await p.ioctl(*fd, doom::kDoomSubmitBatch, &args)).error(), Errno::efault);
+      if (m == Mode::linux_native) {
+        doom::DoomMapBufferArgs map;
+        map.va = *buf;
+        map.len = wrapping;
+        EXPECT_EQ((co_await p.ioctl(*fd, doom::kDoomMapBuffer, &map)).error(), Errno::efault);
+      }
+      EXPECT_EQ(rig.device->pt_entries_used(0), 0u);
+    }(r, *proc, mode));
+    r.engine.run();
+  }
+}
+
 // --- fast path (DoomPicoDriver on FastPathPort) ---------------------------
 
 TEST(DoomFastPath, SubmitProgramsPerExtentAndSharesFenceCounter) {

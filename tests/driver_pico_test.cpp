@@ -315,6 +315,39 @@ TEST(Tid, PicoProgramsPerExtentEntries) {
   c.engine.run();
 }
 
+TEST(Tid, WrappingRangeFaultsOnBothPaths) {
+  // A length whose end wraps past 2^64 is refused with EFAULT before any
+  // page count is derived from it, by TID_UPDATE and writev alike, on the
+  // Linux driver and on the fast path.
+  for (const os::OsMode mode : {os::OsMode::linux, os::OsMode::mckernel_hfi}) {
+    SCOPED_TRACE(mode == os::OsMode::linux ? "linux" : "mckernel_hfi");
+    MiniCluster c(2, mode);
+    auto proc = c.make_process(0, 0, mode);
+    sim::spawn(c.engine, [](MiniCluster& cl, os::Process& p) -> sim::Task<> {
+      auto fd = co_await p.open(hfi::kDeviceName);
+      CO_ASSERT_TRUE(fd.ok());
+      auto buf = co_await p.mmap_anon(64_KiB);
+      CO_ASSERT_TRUE(buf.ok());
+      const std::uint64_t wrapping = ~std::uint64_t{0} - *buf + 2;  // *buf + len == 1
+
+      hfi::TidUpdateArgs args;
+      args.vaddr = *buf;
+      args.length = wrapping;
+      EXPECT_EQ((co_await p.ioctl(*fd, hfi::kTidUpdate, &args)).error(), Errno::efault);
+      EXPECT_TRUE(args.tids.empty());
+      EXPECT_EQ(cl.nodes[0].device->rcv_array().in_use(), 0u);
+
+      hfi::SdmaReqHeader hdr;
+      hdr.wire.dst_node = 1;
+      std::vector<os::IoVec> iov;
+      iov.push_back(os::IoVec{reinterpret_cast<mem::VirtAddr>(&hdr), sizeof hdr});
+      iov.push_back(os::IoVec{*buf, wrapping});
+      EXPECT_EQ((co_await p.writev(*fd, std::move(iov))).error(), Errno::efault);
+    }(c, *proc));
+    c.engine.run();
+  }
+}
+
 TEST(Tid, PicoQuotaEvictionRecyclesOwnShareOnly) {
   // Fast-path registrations share the per-context RcvArray quota and its
   // reclamation policy with the Linux path: at quota the tenant's own LRU

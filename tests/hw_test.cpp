@@ -210,6 +210,19 @@ TEST(RcvArrayTest, ExhaustionAndOwnership) {
   EXPECT_TRUE(arr.program(0, 0x3000, 4096).ok());
 }
 
+TEST(RcvArrayTest, FreshArrayHasNoValidEntry) {
+  // The table starts as zeroed storage, so all-zero bytes must read as a
+  // free entry — whichever context (0 included) asks.
+  RcvArray arr(HfiConfig{}.rcv_array_entries);
+  for (std::uint32_t tid = 0; tid < arr.capacity(); ++tid) {
+    ASSERT_EQ(arr.entry(tid), nullptr) << tid;
+    ASSERT_EQ(arr.unprogram(0, tid).error(), Errno::einval) << tid;
+    ASSERT_EQ(arr.unprogram(-1, tid).error(), Errno::einval) << tid;
+  }
+  EXPECT_EQ(arr.in_use(), 0u);
+  EXPECT_EQ(arr.unprogram_all(0), 0u);
+}
+
 TEST(RcvArrayTest, RejectsZeroLength) {
   RcvArray arr(2);
   EXPECT_EQ(arr.program(0, 0x1000, 0).error(), Errno::einval);

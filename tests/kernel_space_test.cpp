@@ -29,6 +29,7 @@ TEST(PageTable1G, SixtyFourTiBDirectMapIsCheap) {
   PageTable pt;
   ASSERT_TRUE(pt.map_range(0, 0, 64ull << 40, kPage1G, kProtRead).ok());
   EXPECT_EQ(pt.mapped_pages(), (64ull << 40) / kPage1G);
+  EXPECT_EQ(pt.table_count(), 129u) << "the root and 128 tables of 1 GiB leaves";
   auto t = pt.translate((37ull << 40) + 12345);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->pa, (37ull << 40) + 12345);

@@ -454,6 +454,64 @@ TEST(ExtentCache, FailedWalkLeavesNoAliasableSlot) {
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
+// Ranges a caller can pass that no mapping satisfies: one whose end wraps
+// past 2^64, one of 2^46 bytes, and one past the 48 bits the page table
+// indexes, which a walk would alias onto the page mapped at `va`.
+struct BadRange {
+  const char* what;
+  VirtAddr va;
+  std::uint64_t len;
+};
+
+std::vector<BadRange> bad_ranges(VirtAddr va) {
+  return {{"wrapping", va, ~std::uint64_t{0} - va + 2},  // va + len == 1
+          {"huge", va, 1ull << 46},
+          {"non-canonical", va + (1ull << 48), kPage4K}};
+}
+
+TEST(UserRange, AccessOkBounds) {
+  EXPECT_TRUE(user_range_ok(0, 0));
+  EXPECT_TRUE(user_range_ok(kUserVaEnd - kPage4K, kPage4K));
+  EXPECT_FALSE(user_range_ok(kUserVaEnd - kPage4K, kPage4K + 1));
+  EXPECT_FALSE(user_range_ok(kUserVaEnd, 1));
+  EXPECT_FALSE(user_range_ok(kPage4K, ~std::uint64_t{0}));
+}
+
+TEST(UserRange, GetUserPagesFaultsOnBadRanges) {
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::linux_4k, MemKind::ddr, kMmapBase);
+  auto va = as.mmap_anonymous(64_KiB, kProtRead | kProtWrite);
+  ASSERT_TRUE(va.ok());
+  for (const BadRange& r : bad_ranges(*va))
+    EXPECT_EQ(as.get_user_pages(r.va, r.len).error(), Errno::efault) << r.what;
+  EXPECT_EQ(as.pinned_frame_count(), 0u);
+}
+
+TEST(UserRange, PhysicalExtentsFaultOnBadRanges) {
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  auto va = as.mmap_anonymous(64_KiB, kProtRead | kProtWrite);
+  ASSERT_TRUE(va.ok());
+  ExtentCache cache;
+  std::vector<PhysExtent> out;
+  for (const BadRange& r : bad_ranges(*va)) {
+    EXPECT_EQ(as.physical_extents(r.va, r.len, 10240).error(), Errno::efault) << r.what;
+    EXPECT_EQ(as.physical_extents(r.va, r.len, 10240, out).error(), Errno::efault) << r.what;
+    EXPECT_EQ(cache.lookup(as, r.va, r.len, 10240).error(), Errno::efault) << r.what;
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.entries(), 0u);
+}
+
+TEST(UserRange, RangeMappedIsFalseForBadRanges) {
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::lwk_contig, MemKind::mcdram, kMmapBase);
+  auto va = as.mmap_anonymous(64_KiB, kProtRead | kProtWrite);
+  ASSERT_TRUE(va.ok());
+  EXPECT_TRUE(as.range_mapped(*va, 64_KiB));
+  for (const BadRange& r : bad_ranges(*va)) EXPECT_FALSE(as.range_mapped(r.va, r.len)) << r.what;
+}
+
 TEST(AddressSpace, FindVma) {
   PhysMap phys = small_map();
   AddressSpace as(phys, BackingPolicy::linux_4k, MemKind::ddr, kMmapBase);

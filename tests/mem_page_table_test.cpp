@@ -1,5 +1,5 @@
 // Tests for the 4-level page table: mapping, translation, large pages,
-// unmapping, rollback.
+// unmapping, rollback, and freeing tables as their last entry goes.
 #include <gtest/gtest.h>
 
 #include "src/mem/page_table.hpp"
@@ -83,6 +83,7 @@ TEST(PageTable, MapRangeRollsBackOnConflict) {
   EXPECT_FALSE(pt.translate(0x12000).has_value());
   EXPECT_TRUE(pt.translate(0x13000).has_value());
   EXPECT_EQ(pt.mapped_pages(), 1u);
+  EXPECT_EQ(pt.table_count(), 4u) << "the root and the pre-existing page's three tables";
 }
 
 TEST(PageTable, UnmapRangeMixedPageSizes) {
@@ -90,6 +91,63 @@ TEST(PageTable, UnmapRangeMixedPageSizes) {
   ASSERT_TRUE(pt.map(0x4000'0000, 0x2000'0000, kPage2M, 0).ok());
   ASSERT_TRUE(pt.map(0x4020'0000, 0x3000'0000, kPage4K, 0).ok());
   pt.unmap_range(0x4000'0000, kPage2M + kPage4K);
+  EXPECT_EQ(pt.mapped_pages(), 0u);
+}
+
+TEST(PageTable, ProtRoundTripsAtEveryPageSize) {
+  PageTable pt;
+  VirtAddr va = 0;
+  PhysAddr pa = kPage1G;
+  for (const std::uint64_t page : {kPage4K, kPage2M, kPage1G}) {
+    for (std::uint32_t prot = 0; prot <= (kProtRead | kProtWrite | kProtExec); ++prot) {
+      va += kPage1G;
+      pa += kPage1G;
+      ASSERT_TRUE(pt.map(va, pa, page, prot).ok()) << page << " " << prot;
+      auto t = pt.translate(va + page - 1);
+      ASSERT_TRUE(t.has_value());
+      EXPECT_EQ(t->prot, prot) << page;
+      EXPECT_EQ(t->pa, pa + page - 1) << page;
+      EXPECT_EQ(t->page, page);
+    }
+    // The entry has room for the three Prot bits only.
+    EXPECT_EQ(pt.map(va + kPage1G, pa, page, kProtExec << 1).error(), Errno::einval);
+    EXPECT_EQ(pt.map(va + kPage1G, pa, page, 1u << 31).error(), Errno::einval);
+  }
+  EXPECT_EQ(pt.mapped_pages(), 24u);
+}
+
+TEST(PageTable, UnmapFreesEmptiedTables) {
+  PageTable pt;
+  EXPECT_EQ(pt.table_count(), 1u) << "the root";
+  ASSERT_TRUE(pt.map(0x4000'1000, 0xA000, kPage4K, kProtRead).ok());
+  EXPECT_EQ(pt.table_count(), 4u);
+  ASSERT_TRUE(pt.unmap(0x4000'1000).ok());
+  EXPECT_EQ(pt.table_count(), 1u);
+  // With the page table beneath it gone, the slot takes a large page.
+  ASSERT_TRUE(pt.map(0x4000'0000, 0x2000'0000, kPage2M, kProtRead).ok());
+  EXPECT_EQ(pt.table_count(), 3u);
+  // A table keeps living while any entry in it does.
+  ASSERT_TRUE(pt.map(0x4020'0000, 0xB000, kPage4K, kProtRead).ok());
+  EXPECT_EQ(pt.table_count(), 4u);
+  ASSERT_TRUE(pt.unmap(0x4000'0000).ok());
+  EXPECT_EQ(pt.table_count(), 4u);
+  pt.unmap_range(0x4020'0000, kPage4K);
+  EXPECT_EQ(pt.table_count(), 1u);
+  EXPECT_EQ(pt.mapped_pages(), 0u);
+}
+
+TEST(PageTable, ScratchChurnLeavesOnlyTheRoot) {
+  // The QBOX pattern: a fresh 8 MiB range of 4 KiB pages, mapped and
+  // unmapped at a growing address each iteration.
+  PageTable pt;
+  constexpr std::uint64_t kScratch = 8ull << 20;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const VirtAddr va = 0x2AAA'0000'0000ull + i * (kScratch + kPage4K);
+    ASSERT_TRUE(pt.map_range(va, 0x10'0000'0000ull, kScratch, kPage4K, kProtRead).ok());
+    ASSERT_GT(pt.table_count(), 1u);
+    pt.unmap_range(va, kScratch);
+    ASSERT_EQ(pt.table_count(), 1u) << "iteration " << i;
+  }
   EXPECT_EQ(pt.mapped_pages(), 0u);
 }
 

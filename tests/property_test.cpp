@@ -75,6 +75,26 @@ TEST_P(PageTableProperty, MatchesReferenceModel) {
   Rng rng(GetParam() * 7919);
   mem::PageTable pt;
   std::map<mem::VirtAddr, std::pair<mem::PhysAddr, std::uint64_t>> reference;  // va → (pa, size)
+  // Tables the live mappings need, keyed by (level, index of the span the
+  // table covers), with the number of mappings below each: a 4 KiB leaf
+  // needs a table at levels 0-2, a 2 MiB leaf at levels 1-2. The root is
+  // not counted.
+  std::map<std::pair<int, mem::VirtAddr>, int> tables;
+  auto table_keys = [](mem::VirtAddr va, std::uint64_t page) {
+    std::vector<std::pair<int, mem::VirtAddr>> keys;
+    for (int level = page == mem::kPage4K ? 0 : 1; level < 3; ++level)
+      keys.emplace_back(level, va >> (12 + 9 * (level + 1)));
+    return keys;
+  };
+  auto add = [&](mem::VirtAddr va, mem::PhysAddr pa, std::uint64_t page) {
+    reference[va] = {pa, page};
+    for (const auto& key : table_keys(va, page)) ++tables[key];
+  };
+  auto erase = [&](auto it) {
+    for (const auto& key : table_keys(it->first, it->second.second))
+      if (--tables[key] == 0) tables.erase(key);
+    return reference.erase(it);
+  };
 
   auto covered = [&](mem::VirtAddr va) -> const std::pair<const mem::VirtAddr,
                                                           std::pair<mem::PhysAddr, std::uint64_t>>* {
@@ -88,7 +108,7 @@ TEST_P(PageTableProperty, MatchesReferenceModel) {
     const bool large = rng.next_double() < 0.2;
     const std::uint64_t page = large ? mem::kPage2M : mem::kPage4K;
     const mem::VirtAddr va = mem::page_floor(rng.next_below(1ull << 32), page);
-    const int op = static_cast<int>(rng.next_below(3));
+    const int op = static_cast<int>(rng.next_below(4));
     if (op < 2) {  // map
       const mem::PhysAddr pa = mem::page_floor(0x40000000ull + rng.next_below(1ull << 30), page);
       const Status s = pt.map(va, pa, page, mem::kProtRead);
@@ -100,8 +120,8 @@ TEST_P(PageTableProperty, MatchesReferenceModel) {
         if (it != reference.end() && it->first < va + page) conflict = true;
       }
       ASSERT_EQ(s.ok(), !conflict) << std::hex << va;
-      if (s.ok()) reference[va] = {pa, page};
-    } else {  // unmap at a random known or unknown address
+      if (s.ok()) add(va, pa, page);
+    } else if (op == 2) {  // unmap at a random known or unknown address
       const bool known = !reference.empty() && rng.next_double() < 0.7;
       mem::VirtAddr target = va;
       if (known) {
@@ -112,9 +132,24 @@ TEST_P(PageTableProperty, MatchesReferenceModel) {
       const auto* ref = covered(target);
       const Status s = pt.unmap(target);
       ASSERT_EQ(s.ok(), ref != nullptr);
-      if (ref != nullptr) reference.erase(ref->first);
+      if (ref != nullptr) erase(reference.find(ref->first));
+    } else {  // unmap_range from a random byte, often just below a mapping
+      mem::VirtAddr start = va + rng.next_below(page);
+      if (!reference.empty() && rng.next_double() < 0.7) {
+        auto it = reference.begin();
+        std::advance(it, static_cast<long>(rng.next_below(reference.size())));
+        start = it->first - std::min<mem::VirtAddr>(it->first, rng.next_below(mem::kPage2M));
+      }
+      const std::uint64_t len = rng.next_below(8 * mem::kPage2M);
+      pt.unmap_range(start, len);
+      // Every mapping that meets the range, widened to 4 KiB pages, goes whole.
+      const mem::VirtAddr lo = mem::page_floor(start, mem::kPage4K);
+      const mem::VirtAddr hi = mem::page_ceil(start + len, mem::kPage4K);
+      for (auto it = reference.begin(); it != reference.end();)
+        it = it->first < hi && lo < it->first + it->second.second ? erase(it) : std::next(it);
     }
     ASSERT_EQ(pt.mapped_pages(), reference.size());
+    ASSERT_EQ(pt.table_count(), tables.size() + 1) << "step " << step;
   }
 
   // Translation agrees everywhere we know about.

@@ -1,16 +1,26 @@
 #!/usr/bin/env bash
 # Host-time profile of one benchmark workload: the top 20 of gprof's flat
-# profile.
+# profile, how much of the run gprof saw, and its samples rolled up by layer.
 #
 #   tools/gprof_top.sh <workload> [seconds]
 #
 # Configures perfbench/ (which compiles the simulator's src/ beside its own
 # driver) with -pg into build-gprof/ at the repository root, runs
 # <workload> untraced for [seconds] (default 10; the warm-up pass always
-# runs, so short runs still cover one full pass), and prints the top 20
-# entries of the flat profile. Workloads: umt_modes, umt_ikc_ring,
-# qbox_churn. The report itself goes to stderr; gmon.out stays in
-# build-gprof/ for `gprof -b build-gprof/perfbench.gprof build-gprof/gmon.out`.
+# runs, so short runs still cover one full pass), and prints to stdout:
+#
+#   * the top 20 entries of the flat profile;
+#   * gprof's sampled total beside the process's CPU seconds. gprof samples
+#     only code compiled with -pg: the rest of the CPU time is mcount's own
+#     overhead and time in libc and libstdc++ (malloc and free among it);
+#   * a per-layer rollup of the flat profile's self seconds, by the
+#     simulator namespace a function is defined in (pd::sim, mem, hw, hfi,
+#     pico, ikc, psm, mpirt, os); everything else, libstdc++ templates
+#     instantiated for simulator types included, is "other".
+#
+# Workloads: umt_modes, umt_ikc_ring, qbox_churn. Build and benchmark output
+# goes to stderr; gmon.out stays in build-gprof/ for
+# `gprof -b build-gprof/perfbench.gprof build-gprof/gmon.out`.
 #
 # gprof drops symbols whose names contain '.' (numbered, .clone and
 # .constprop clones aside) and charges their samples to whichever function
@@ -38,9 +48,13 @@ cmake -S "$root/perfbench" -B "$out" -DCMAKE_BUILD_TYPE=Release \
 cmake --build "$out" --target perfbench -j"$jobs" >&2
 
 # gmon.out is written to the working directory when the process exits.
+# The subshell's `times` reports its children's CPU time: perfbench's alone.
 cd "$out"
 rm -f gmon.out
-./perfbench --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >&2
+cpu_s=$( (./perfbench --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 >&2
+          times) |
+        awk 'NR == 2 { split($1, u, /[ms]/); split($2, k, /[ms]/)
+                       printf "%.2f", 60 * u[1] + u[2] + 60 * k[1] + k[2] }')
 
 # Rename every dotted function symbol: demangle it, shorten a coroutine
 # body's `f(f(args)::<frame>*) [clone .actor]` to `f(args) [actor]`, then
@@ -57,4 +71,34 @@ c++filt < dotted.syms |
 objcopy @redefine.args perfbench perfbench.gprof
 
 # Flat profile: a 5-line header, then one line per function by self time.
-gprof -b -p perfbench.gprof gmon.out | head -n 25
+gprof -b -p perfbench.gprof gmon.out > flat.txt
+head -n 25 flat.txt
+
+# Self seconds per layer. Each function line holds %time, cumulative and
+# self seconds, three optional call-count columns, then the name. With its
+# template arguments and argument list dropped, a function belongs to the
+# last `pd::<layer>::` that starts a word of its name (a leading return
+# type such as `pd::sim::Task<...>` comes first).
+awk '
+  NR > 5 && $1 ~ /^[0-9.]+$/ {
+    name = $0
+    sub(/^ *[0-9.]+ +[0-9.]+ +[0-9.]+ +([0-9]+ +[0-9.]+ +[0-9.]+ +)?/, "", name)
+    while (gsub(/<[^<>]*>/, "", name)) {}
+    sub(/\(.*/, "", name)
+    layer = "other"
+    while (match(name, /(^| )pd::(sim|mem|hw|hfi|pico|ikc|psm|mpirt|os)::/)) {
+      layer = substr(name, RSTART, RLENGTH)
+      gsub(/^ ?pd::|::$/, "", layer)
+      name = substr(name, RSTART + RLENGTH)
+    }
+    self[layer] += $3
+  }
+  END { for (l in self) printf "%s %.2f\n", l, self[l] }' flat.txt | sort -k2,2 -rn > layers.txt
+
+sampled=$(awk '{ s += $2 } END { printf "%.2f", s }' layers.txt)
+echo
+awk -v s="$sampled" -v c="$cpu_s" \
+  'BEGIN { printf "gprof sampled %.2f s of %.2f s process CPU (%.0f %%)\n", s, c, (c > 0 ? 100 * s / c : 0) }'
+echo
+echo "Self seconds by layer:"
+awk -v t="$sampled" '{ printf "  %-6s %8.2f s %6.1f %%\n", $1, $2, (t > 0 ? 100 * $2 / t : 0) }' layers.txt
