@@ -1,9 +1,7 @@
-// Fixed-capacity single-producer ring used for hardware descriptor rings
-// (SDMA engines) and IKC channels. Capacity is fixed at construction, which
-// mirrors how real descriptor rings behave: when full, the producer must
-// back off (EAGAIN / ring-full), it never grows on its own. Software rings
-// may be resized explicitly via grow() — modelling a kernel reallocating a
-// shared-memory ring region — which preserves FIFO order.
+// Fixed-capacity FIFO ring: the IKC transport's per-channel request rings
+// (src/ikc). Capacity is fixed at construction, as in a shared-memory ring
+// region: when full, the producer must back off (ring-full), the ring never
+// grows on its own.
 #pragma once
 
 #include <cassert>
@@ -19,11 +17,9 @@ class RingBuffer {
  public:
   explicit RingBuffer(std::size_t capacity) : slots_(capacity) { assert(capacity > 0); }
 
-  std::size_t capacity() const { return slots_.size(); }
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
   bool full() const { return count_ == slots_.size(); }
-  std::size_t free_slots() const { return slots_.size() - count_; }
 
   /// Returns false (and leaves the ring untouched) when full.
   [[nodiscard]] bool push(T item) {
@@ -48,21 +44,10 @@ class RingBuffer {
     return slots_[head_];
   }
 
-  void clear() {
-    head_ = tail_ = 0;
-    count_ = 0;
-  }
-
-  /// Reallocate to `new_capacity` (>= size, asserted), keeping queued items
-  /// in FIFO order. No-op when not actually growing.
-  void grow(std::size_t new_capacity) {
-    if (new_capacity <= slots_.size()) return;
-    std::vector<T> bigger(new_capacity);
-    for (std::size_t i = 0; i < count_; ++i)
-      bigger[i] = std::move(slots_[(head_ + i) % slots_.size()]);
-    slots_ = std::move(bigger);
-    head_ = 0;
-    tail_ = count_;
+  /// Visit every queued item, oldest first, without consuming.
+  template <typename F>
+  void for_each(F&& visit) const {
+    for (std::size_t i = 0; i < count_; ++i) visit(slots_[(head_ + i) % slots_.size()]);
   }
 
  private:

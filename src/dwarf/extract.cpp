@@ -148,6 +148,21 @@ void collect_aux_decls(const DebugInfoView& view, const Die* type,
   }
 }
 
+/// Does `type`'s chain of typedef, qualifier, pointer and array links reach
+/// a base, enum, struct or union type (or void) within kMaxTypeDepth links?
+/// type_size and format_decl stop at a pointer or a typedef name, so a cycle
+/// through one (`typedef loop_t *loop_t;`) passes both.
+bool chain_terminates(const DebugInfoView& view, const Die* type) {
+  for (int links = 0; type != nullptr; ++links, type = view.type_of(*type)) {
+    const auto tag = type->tag;
+    if (tag != DW_TAG_typedef && tag != DW_TAG_const_type && tag != DW_TAG_volatile_type &&
+        tag != DW_TAG_pointer_type && tag != DW_TAG_array_type)
+      return true;
+    if (links == kMaxTypeDepth) return false;
+  }
+  return true;  // void
+}
+
 const Die* find_member(const Die& struct_die, const std::string& field) {
   for (const auto& child : struct_die.children) {
     if (child->tag != DW_TAG_member) continue;
@@ -192,6 +207,7 @@ Result<StructLayout> extract_struct(const DebugInfoView& view, const std::string
     auto offset = member->unsigned_attr(DW_AT_data_member_location);
     if (!offset) return Errno::einval;
     const Die* type = view.type_of(*member);
+    if (!chain_terminates(view, type)) return Errno::einval;
     const std::uint64_t size = type_size(view, type);
     std::string decl = format_decl(view, type, field);
     if (size == 0 || decl.empty()) return Errno::einval;

@@ -21,9 +21,6 @@ int depth_bucket(std::size_t depth) {
   return 6;
 }
 
-constexpr const char* kBucketLabels[IkcTransport::kDepthBuckets] = {
-    "le1", "le2", "le4", "le8", "le16", "le32", "gt32"};
-
 /// Why a parked consumer's wake channel was poked.
 constexpr int kWakeDoorbell = 0;
 constexpr int kWakeSelfDrain = 1;
@@ -56,29 +53,25 @@ IkcTransport::IkcTransport(sim::Engine& engine, const os::Config& cfg,
       phys_(phys),
       topo_(mem::NumaTopology::blocked(std::max(cfg.cores_per_node, 1),
                                        std::max(cfg.numa_per_kind, 1))),
-      channels_n_(cfg.ikc_channels > 0 ? cfg.ikc_channels : std::max(cfg.app_cores, 1)),
-      loops_n_(std::max(cfg.linux_service_cpus, 1)) {
+      active_loops_(num_loops()) {
   std::string why;
   if (const Status valid = cfg.validate(&why); !valid.ok())
     throw std::invalid_argument("ikc: invalid Config: " + why);
-  active_loops_ = loops_n_;
-  channels_.reserve(static_cast<std::size_t>(channels_n_));
-  depth_hist_.resize(static_cast<std::size_t>(channels_n_));
-  depth_names_.resize(static_cast<std::size_t>(channels_n_));
-  for (int c = 0; c < channels_n_; ++c)
+  // The direct transport keeps the legacy shape where each offload is its
+  // own proxy wakeup: it owns no channel, ring, lock or service loop.
+  if (cfg_.ikc_mode != os::IkcMode::ring) return;
+  const int channels = cfg.ikc_channels > 0 ? cfg.ikc_channels : std::max(cfg.app_cores, 1);
+  channels_.reserve(static_cast<std::size_t>(channels));
+  for (int c = 0; c < channels; ++c)
     channels_.push_back(std::make_unique<Channel>(
         engine_, lock_abi, cfg.ikc_lock_cost, static_cast<std::size_t>(cfg.ikc_ring_depth),
-        static_cast<std::size_t>(std::max(cfg.ikc_reply_depth, 1))));
+        static_cast<std::size_t>(cfg.ikc_reply_depth)));
   // Provision loop slots for the elastic ceiling too: attach_loop() revives
   // a slot, it never invents one. Only the boot prefix is spawned.
-  const int slots = std::max(loops_n_, cfg.elastic_max_service_cpus);
-  for (int s = 0; s < slots; ++s) loops_.push_back(std::make_unique<Loop>(engine_));
+  for (int s = 0; s < max_loops(); ++s) loops_.push_back(std::make_unique<Loop>(engine_));
   place_rings();
   shard_channels();
-  // Dedicated service loops exist only in ring mode; the direct transport
-  // keeps the legacy shape where each offload is its own proxy wakeup.
-  if (cfg_.ikc_mode == os::IkcMode::ring)
-    for (int s = 0; s < active_loops_; ++s) sim::spawn(engine_, service_loop(s));
+  for (int s = 0; s < active_loops_; ++s) sim::spawn(engine_, service_loop(s));
 }
 
 IkcTransport::~IkcTransport() {
@@ -94,11 +87,11 @@ void IkcTransport::place_rings() {
   // to another domain under pressure — the *achieved* domain is what the
   // pinning below must follow, not the wish. Placement happens once: a
   // repartition moves loops, never a channel's ring lines.
-  for (int c = 0; c < channels_n_; ++c) {
+  for (int c = 0; c < num_channels(); ++c) {
     Channel& ch = *channels_[static_cast<std::size_t>(c)];
     const int owner_cpu = cfg_.linux_service_cpus + c;
     ch.home_socket = topo_.socket_of(owner_cpu);
-    if (phys_ != nullptr && cfg_.ikc_mode == os::IkcMode::ring) {
+    if (phys_ != nullptr) {
       auto region = phys_->alloc_near(cfg_.ikc_ring_region_bytes,
                                       static_cast<std::size_t>(ch.home_socket));
       if (region.ok()) {
@@ -114,14 +107,13 @@ void IkcTransport::place_rings() {
 
 void IkcTransport::shard_channels() {
   const int n = active_loops_;
-  channel_loop_.assign(static_cast<std::size_t>(channels_n_), 0);
   for (auto& lp : loops_) lp->channels.clear();
   const int sockets = std::max(topo_.sockets(), 1);
   // Where a loop runs without pinning: its service CPU (the low ids the
   // IHK reservation leaves to Linux — all in quadrant 0 under SNC-4).
   for (int l = 0; l < n; ++l)
     loops_[static_cast<std::size_t>(l)]->socket = topo_.socket_of(l);
-  if (cfg_.ikc_mode == os::IkcMode::ring && cfg_.ikc_numa_pin && !topo_.flat()) {
+  if (cfg_.ikc_numa_pin && !topo_.flat()) {
     // Pin loops across the quadrants, then shard each channel to a loop
     // pinned on its ring's socket (least-loaded first); a channel whose
     // socket no loop covers joins the globally least-loaded loop and is
@@ -132,7 +124,7 @@ void IkcTransport::shard_channels() {
       loops_[static_cast<std::size_t>(l)]->socket = (l * sockets) / n;
       prof_.bump("ikc.numa.pinned_loop");
     }
-    for (int c = 0; c < channels_n_; ++c) {
+    for (int c = 0; c < num_channels(); ++c) {
       const int home = channels_[static_cast<std::size_t>(c)]->home_socket;
       int best = -1;
       for (int l = 0; l < n; ++l) {
@@ -150,12 +142,12 @@ void IkcTransport::shard_channels() {
       } else {
         prof_.bump("ikc.numa.matched_channel");
       }
-      channel_loop_[static_cast<std::size_t>(c)] = best;
+      channels_[static_cast<std::size_t>(c)]->loop = best;
       loops_[static_cast<std::size_t>(best)]->channels.push_back(c);
     }
   } else {
-    for (int c = 0; c < channels_n_; ++c) {
-      channel_loop_[static_cast<std::size_t>(c)] = c % n;
+    for (int c = 0; c < num_channels(); ++c) {
+      channels_[static_cast<std::size_t>(c)]->loop = c % n;
       loops_[static_cast<std::size_t>(c % n)]->channels.push_back(c);
     }
   }
@@ -186,22 +178,34 @@ sim::Task<> IkcTransport::wake_loops_with_work() {
   for (int l = 0; l < active_loops_; ++l) {
     Loop& lp = *loops_[static_cast<std::size_t>(l)];
     if (!lp.sleeping || !has_work(l)) continue;
-    lp.sleeping = false;
     prof_.bump("ikc.ring.doorbell");
-    co_await engine_.delay(cfg_.ikc_doorbell_cost);
-    lp.doorbell.send(1);
+    co_await ring_doorbell(lp);
   }
+}
+
+sim::Task<> IkcTransport::ring_doorbell(Loop& lp) {
+  lp.sleeping = false;  // claim the wakeup: one doorbell per sleep
+  co_await engine_.delay(cfg_.ikc_doorbell_cost);
+  lp.doorbell.send(1);
+}
+
+sim::Task<bool> IkcTransport::completion_ipi(Channel& ch) {
+  co_await engine_.delay(cfg_.ikc_reply_wakeup_cost);
+  if (ch.reply_doorbell_lost) {
+    prof_.bump("ikc.reply.doorbell_lost");  // sent, then dropped by the fault
+    co_return false;
+  }
+  prof_.bump("ikc.reply.wakeup");
+  co_return true;
 }
 
 sim::Task<Status> IkcTransport::retire_loop() {
   if (active_loops_ <= 1) co_return Errno::einval;
-  const int l = active_loops_ - 1;
-  Loop& lp = *loops_[static_cast<std::size_t>(l)];
   --active_loops_;
-  if (cfg_.ikc_mode != os::IkcMode::ring) {
-    // No loops run in direct mode; the retire is pure bookkeeping.
-    co_return Status::success();
-  }
+  // No loops run in direct mode; the retire is pure bookkeeping.
+  if (cfg_.ikc_mode != os::IkcMode::ring) co_return Status::success();
+  Loop& lp = *loops_[static_cast<std::size_t>(active_loops_)];
+  ++retires_in_flight_;
   prof_.bump("ikc.elastic.loop_retired");
   lp.retiring = true;
   // Hand the loop's channels to the survivors immediately: new submissions
@@ -211,16 +215,14 @@ sim::Task<Status> IkcTransport::retire_loop() {
   reset_loop_health(lp);  // a retired slot must not report a stale verdict
   // Kick the loop out of whatever wait it is parked in so it can observe
   // `retiring`: the doorbell when it sleeps, the unstall channel when a
-  // stall injection holds it.
-  if (lp.sleeping) {
-    lp.sleeping = false;
-    co_await engine_.delay(cfg_.ikc_doorbell_cost);
-    lp.doorbell.send(1);
-  }
+  // stall injection holds it. Not counted as an ikc.ring.doorbell.
+  if (lp.sleeping) co_await ring_doorbell(lp);
   if (lp.stall_injected) lp.unstall.send(1);
   // Quiesce: the loop finishes any batch it already claimed (replies are
-  // delivered through the normal reply path) and exits.
+  // delivered through the normal reply path) and exits. Until then its
+  // slot must not be re-attached.
   co_await lp.retired.recv();
+  --retires_in_flight_;
   // The orphaned queue depth now belongs to loops that may be asleep.
   co_await wake_loops_with_work();
   co_return Status::success();
@@ -228,12 +230,14 @@ sim::Task<Status> IkcTransport::retire_loop() {
 
 sim::Task<Status> IkcTransport::attach_loop() {
   if (active_loops_ >= max_loops()) co_return Errno::enospc;
-  const int l = active_loops_;
+  // A quiescing retire's loop may still run in the slot this would take:
+  // replacing it would free the Loop under the running coroutine.
+  if (retires_in_flight_ > 0) co_return Errno::ebusy;
+  const int l = active_loops_++;
+  if (cfg_.ikc_mode != os::IkcMode::ring) co_return Status::success();
   // A fresh Loop, not a recycled one: clean doorbell/unstall channels and
   // clean suspect/probe/EWMA state, exactly like a boot-time loop.
   loops_[static_cast<std::size_t>(l)] = std::make_unique<Loop>(engine_);
-  ++active_loops_;
-  if (cfg_.ikc_mode != os::IkcMode::ring) co_return Status::success();
   prof_.bump("ikc.elastic.loop_attached");
   reshard_and_reset();
   sim::spawn(engine_, service_loop(l));
@@ -250,14 +254,6 @@ int IkcTransport::channel_socket(int channel) const {
 
 mem::PhysAddr IkcTransport::channel_ring_phys(int channel) const {
   return channels_.at(static_cast<std::size_t>(channel))->ring_phys;
-}
-
-std::size_t IkcTransport::reply_ring_depth(int channel) const {
-  return channels_.at(static_cast<std::size_t>(channel))->reply.size();
-}
-
-std::size_t IkcTransport::reply_ring_capacity(int channel) const {
-  return channels_.at(static_cast<std::size_t>(channel))->reply.capacity();
 }
 
 const IkcTransport::JobStats* IkcTransport::job_stats(JobId job) const {
@@ -396,8 +392,8 @@ int IkcTransport::pick_channel(int channel) {
     prof_.bump("ikc.ring.probe");
     return channel;
   }
-  for (int i = 1; i < channels_n_; ++i) {
-    const int cand = (channel + i) % channels_n_;
+  for (int i = 1; i < num_channels(); ++i) {
+    const int cand = (channel + i) % num_channels();
     if (!loop_suspect(loop_of(cand))) {
       prof_.bump("ikc.ring.redirect");
       return cand;
@@ -411,25 +407,16 @@ int IkcTransport::next_foreign_channel(int channel) const {
   // pinning the sharding is no longer round-robin, so walk until the owner
   // changes; with a single loop (or one channel) this degrades to +1.
   const int owner = loop_of(channel);
-  for (int i = 1; i < channels_n_; ++i) {
-    const int cand = (channel + i) % channels_n_;
+  for (int i = 1; i < num_channels(); ++i) {
+    const int cand = (channel + i) % num_channels();
     if (loop_of(cand) != owner) return cand;
   }
-  return (channel + 1) % channels_n_;
+  return (channel + 1) % num_channels();
 }
 
 void IkcTransport::note_depth(int channel) {
-  const std::size_t depth = channel_depth(channel);
-  const int bucket = depth_bucket(depth);
-  ++depth_hist_[static_cast<std::size_t>(channel)][static_cast<std::size_t>(bucket)];
-  auto& names = depth_names_[static_cast<std::size_t>(channel)];
-  if (names == nullptr) {
-    names = std::make_unique<std::array<std::string, kDepthBuckets>>();
-    for (int b = 0; b < kDepthBuckets; ++b)
-      (*names)[static_cast<std::size_t>(b)] =
-          "ikc.ring.depth.ch" + std::to_string(channel) + "." + kBucketLabels[b];
-  }
-  prof_.bump((*names)[static_cast<std::size_t>(bucket)]);
+  const int bucket = depth_bucket(channel_depth(channel));
+  ++channels_[static_cast<std::size_t>(channel)]->depth_hist[static_cast<std::size_t>(bucket)];
 }
 
 void IkcTransport::observe_depth(Loop& lp, std::size_t avail) {
@@ -454,7 +441,7 @@ sim::Task<Result<long>> IkcTransport::ring_offload(Service service, Priority pri
   // kernel boundary exactly as the legacy IKC message did.
   co_await engine_.delay(cfg_.offload_oneway);
 
-  int ch = ((channel_hint % channels_n_) + channels_n_) % channels_n_;
+  int ch = ((channel_hint % num_channels()) + num_channels()) % num_channels();
   for (int attempt = 0; attempt <= cfg_.ikc_max_retries; ++attempt) {
     if (attempt > 0) {
       prof_.bump("ikc.ring.retry");
@@ -479,8 +466,6 @@ sim::Task<Result<long>> IkcTransport::ring_offload(Service service, Priority pri
       continue;  // consumes one attempt, lands on another loop's ring
     }
     req->enqueued_at = engine_.now();
-    std::erase_if(channel.inflight, [](const auto& w) { return w.expired(); });
-    channel.inflight.push_back(req);
     prof_.bump("ikc.ring.enqueue");
     note_depth(ch);
 
@@ -491,10 +476,8 @@ sim::Task<Result<long>> IkcTransport::ring_offload(Service service, Priority pri
     // different loop — the doorbell must reach whoever drains it now.
     Loop& lp = *loops_[static_cast<std::size_t>(loop_of(ch))];
     if (lp.sleeping) {
-      lp.sleeping = false;  // claim the wakeup: one doorbell per sleep
       prof_.bump("ikc.ring.doorbell");
-      co_await engine_.delay(cfg_.ikc_doorbell_cost);
-      lp.doorbell.send(1);
+      co_await ring_doorbell(lp);
     }
 
     // Ring-residency watchdog. Fires only while still queued; a claimed or
@@ -506,7 +489,7 @@ sim::Task<Result<long>> IkcTransport::ring_offload(Service service, Priority pri
       }
     });
 
-    co_await await_reply(req, ch);
+    co_await await_reply(req);
     if (req->state == Request::State::abandoned) {
       // The consumer was killed mid-offload (fault injection); the service
       // side drops our completion, we report the interruption.
@@ -532,24 +515,16 @@ sim::Task<Result<long>> IkcTransport::ring_offload(Service service, Priority pri
   co_return co_await direct_offload(std::move(service), job_id);
 }
 
-void IkcTransport::drain_reply_ring(int channel) {
-  // The owning LWK core empties its reply ring: each entry's completion
-  // was already written into the request slot when posted, so popping is
-  // slot reclamation — the service side only sees a full ring while the
-  // consumer is parked behind a lost doorbell (or dead).
-  auto& ring = channels_[static_cast<std::size_t>(channel)]->reply;
-  while (ring.pop().has_value()) {
-  }
-}
-
-sim::Task<> IkcTransport::await_reply(RequestPtr req, int channel) {
-  Channel& ch = *channels_[static_cast<std::size_t>(channel)];
+sim::Task<> IkcTransport::await_reply(RequestPtr req) {
+  Channel& ch = *channels_[static_cast<std::size_t>(req->channel)];
+  // Every look at the reply ring frees all its slots (each completion is
+  // already in its request), so only a parked or dead consumer fills it.
   // Poll phase: the LWK core is dedicated to the blocked rank, so spinning
   // on the reply slot is free — a completion lands as a shared-memory
   // write and costs the return path zero wakeups.
   const Time poll_until = engine_.now() + cfg_.ikc_reply_poll_budget;
   while (true) {
-    drain_reply_ring(channel);
+    ch.reply_posted = 0;
     if (settled(*req)) {
       if (req->state == Request::State::done) prof_.bump("ikc.reply.poll_hit");
       co_return;
@@ -571,14 +546,13 @@ sim::Task<> IkcTransport::await_reply(RequestPtr req, int channel) {
                            [req] { req->wake.send(kWakeSelfDrain); });
     const int why = co_await req->wake.recv();
     std::erase(ch.parked, req);
-    drain_reply_ring(channel);
+    ch.reply_posted = 0;
     if (why == kWakeSelfDrain && req->state == Request::State::done)
       prof_.bump("ikc.reply.self_drain");
   }
 }
 
-sim::Task<> IkcTransport::deliver_reply(const RequestPtr& req, int channel,
-                                        std::vector<int>& touched) {
+sim::Task<> IkcTransport::deliver_reply(const RequestPtr& req, std::vector<int>& touched) {
   if (req->state == Request::State::abandoned) {
     // Completion for a dead consumer: drop it. The slot shared_ptr dies
     // with the batch; the service loop must not wedge on it.
@@ -586,37 +560,35 @@ sim::Task<> IkcTransport::deliver_reply(const RequestPtr& req, int channel,
     co_return;
   }
   // Write the completion into the request slot (visible to the polling
-  // consumer immediately) and post a notification entry; parked consumers
+  // consumer immediately) and take a reply-ring slot; parked consumers
   // are woken once per channel after the whole batch.
   co_await engine_.delay(cfg_.ikc_reply_post_cost);
-  Channel& ch = *channels_[static_cast<std::size_t>(channel)];
+  Channel& ch = *channels_[static_cast<std::size_t>(req->channel)];
   req->state = Request::State::done;
   prof_.bump("ikc.reply.post");
-  if (!ch.reply.push(req)) {
+  if (ch.reply_posted == ch.reply_capacity) {
     // Reply ring full (consumer parked or slow): fall back to a
     // per-request wakeup so the completion is never lost.
     prof_.bump("ikc.reply.ring_full");
     // Autosize: a ring that keeps filling is undersized for this channel's
     // completion burst, so double it (up to the cap) after a few strikes.
+    const auto max_depth = static_cast<std::size_t>(cfg_.ikc_reply_max_depth);
     if (++ch.reply_full_strikes >= cfg_.ikc_reply_autosize_threshold &&
-        ch.reply.capacity() < static_cast<std::size_t>(cfg_.ikc_reply_max_depth)) {
-      ch.reply.grow(std::min(ch.reply.capacity() * 2,
-                             static_cast<std::size_t>(cfg_.ikc_reply_max_depth)));
+        ch.reply_capacity < max_depth) {
+      ch.reply_capacity = std::min(ch.reply_capacity * 2, max_depth);
       ch.reply_full_strikes = 0;
       prof_.bump("ikc.reply.autosize_grow");
     }
-    co_await engine_.delay(cfg_.ikc_reply_wakeup_cost);
-    if (ch.reply_doorbell_lost) {
-      prof_.bump("ikc.reply.doorbell_lost");  // consumer recovers by self-drain
-    } else {
-      prof_.bump("ikc.reply.wakeup");
+    // A lost IPI leaves the consumer to recover by self-drain.
+    if (co_await completion_ipi(ch)) {
       std::erase(ch.parked, req);
       req->wake.send(kWakeDoorbell);
     }
     co_return;
   }
-  if (std::find(touched.begin(), touched.end(), channel) == touched.end())
-    touched.push_back(channel);
+  ++ch.reply_posted;
+  if (std::find(touched.begin(), touched.end(), req->channel) == touched.end())
+    touched.push_back(req->channel);
 }
 
 bool IkcTransport::has_work(int loop) const {
@@ -747,15 +719,14 @@ sim::Task<> IkcTransport::collect_batch(int loop, std::vector<RequestPtr>& out) 
 sim::Task<> IkcTransport::service_loop(int loop) {
   Loop& lp = *loops_[static_cast<std::size_t>(loop)];
   bool woke_by_doorbell = false;
-  std::vector<RequestPtr> batch;
   std::vector<int> touched;  // channels this batch posted replies to
   while (true) {
     while (lp.stall_injected && !lp.retiring) co_await lp.unstall.recv();
     if (lp.retiring) break;
-    batch.clear();
+    lp.batch.clear();
     touched.clear();
-    co_await collect_batch(loop, batch);
-    if (batch.empty()) {
+    co_await collect_batch(loop, lp.batch);
+    if (lp.batch.empty()) {
       // Retirement observes an empty collect: the re-shard already took the
       // channels, so nothing is queued here and nothing was claimed — the
       // loop is quiescent and may exit.
@@ -792,14 +763,14 @@ sim::Task<> IkcTransport::service_loop(int loop) {
       co_await engine_.delay(cfg_.proxy_wakeup_hot);
       woke_by_doorbell = false;
     }
-    for (auto& req : batch) {
+    for (auto& req : lp.batch) {
       const double queued_us = to_us(engine_.now() - req->enqueued_at);
       queueing_us_.add(queued_us);
       job(req->job).stats.queueing_us.add(queued_us);
       co_await engine_.delay(cfg_.offload_dispatch + cfg_.proxy_min_service);
       Result<long> result = co_await req->service();
       req->result = result;
-      co_await deliver_reply(req, req->channel, touched);
+      co_await deliver_reply(req, touched);
       lp.consecutive_timeouts = 0;  // a served request proves liveness
       ++lp.served;
     }
@@ -808,12 +779,7 @@ sim::Task<> IkcTransport::service_loop(int loop) {
     for (int chn : touched) {
       Channel& channel = *channels_[static_cast<std::size_t>(chn)];
       if (channel.parked.empty()) continue;
-      co_await engine_.delay(cfg_.ikc_reply_wakeup_cost);
-      if (channel.reply_doorbell_lost) {
-        prof_.bump("ikc.reply.doorbell_lost");  // sent, then dropped by the fault
-        continue;
-      }
-      prof_.bump("ikc.reply.wakeup");
+      if (!co_await completion_ipi(channel)) continue;
       for (auto& waiter : channel.parked) waiter->wake.send(kWakeDoorbell);
       channel.parked.clear();
     }
@@ -832,18 +798,19 @@ void IkcTransport::inject_stall(int loop, bool stalled) {
 }
 
 void IkcTransport::inject_consumer_death(int channel) {
-  // The LWK process owning this channel dies: every in-flight offload it
-  // had resolves to EINTR on the (dead) submitter side, queued entries
-  // turn stale, and completions still in the service pipeline are dropped
-  // at delivery (`ikc.reply.consumer_dead`).
+  // The LWK process owning this channel dies: each unsettled request of
+  // it resolves to EINTR on the (dead) submitter side. It is queued in the
+  // channel's rings (skipped as dead at pop) or claimed in some loop's
+  // batch, a retiring loop's too (its completion is dropped at delivery).
   Channel& ch = *channels_.at(static_cast<std::size_t>(channel));
-  for (auto& weak : ch.inflight) {
-    if (auto req = weak.lock(); req != nullptr && !settled(*req)) {
-      req->state = Request::State::abandoned;
-      req->wake.send(kWakeDeath);
-    }
-  }
-  ch.inflight.clear();
+  auto kill = [channel](const RequestPtr& req) {
+    if (req->channel != channel || settled(*req)) return;
+    req->state = Request::State::abandoned;
+    req->wake.send(kWakeDeath);
+  };
+  for (const auto& ring : ch.rings) ring.for_each(kill);
+  for (const auto& lp : loops_)
+    for (const auto& req : lp->batch) kill(req);
   ch.parked.clear();
 }
 

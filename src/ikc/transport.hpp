@@ -8,7 +8,8 @@
 //            shared Linux service-CPU pool, with load-dependent wakeup,
 //            per-waiter scheduler thrash and the proxy-run service
 //            multiplier. This is the paper's measured McKernel behaviour
-//            and stays the calibrated default.
+//            and stays the calibrated default. It builds no ring state
+//            (channels, loops); retire/attach only move its active count.
 //   ring   — per-LWK-CPU request rings in simulated shared memory
 //            (RingBuffer slots guarded by the §3.3 cross-kernel spin-lock),
 //            drained by dedicated Linux-side service loops pinned to the
@@ -17,10 +18,14 @@
 //            Each channel carries two priority classes so fast-path control
 //            calls (TID-registration ioctls) are not stuck behind bulk I/O.
 //
+// A ring-mode request lives in one place until it settles: its channel's
+// request ring while queued, the claiming loop's `batch` while in service.
+//
 // Three ring-mode mechanisms shape the rest of the round trip (§8.4):
 //
-//   reply rings — completions return through a per-channel shared-memory
-//       reply ring. The offloading coroutine polls its reply slot (the LWK
+//   reply rings — a completion is written into its request and takes a
+//       slot of the channel's reply ring, an occupancy count (nothing reads
+//       the entries). The offloading coroutine polls its reply slot (the LWK
 //       core is dedicated to the blocked rank, so polling is free) and only
 //       parks after `ikc_reply_poll_budget`; a parked channel costs at most
 //       one completion IPI per drained batch, and a ring that keeps filling
@@ -65,15 +70,16 @@
 // delivered through the normal reply path), its channels are re-sharded
 // onto the surviving loops, and the caller is resumed once the loop's
 // coroutine has exited — and `attach_loop()` revives the next slot with a
-// fresh service loop. The active set is always the prefix
-// [0, active_loops()), so re-running the socket-aware sharding over that
-// prefix reproduces exactly what a static transport of the same shape
-// would compute. Every loop whose channel set changes across a re-shard
-// has its suspect/probe/EWMA drain state reset: a verdict calibrated
-// against the old channel set (or inherited from a retired loop's slot)
-// must not outlive the shape that produced it. Orphaned queue depth is
-// handed to the new owners with a doorbell pass; requests in the races a
-// repartition cannot close are recovered by the ordinary deadline ladder.
+// fresh service loop (EBUSY while a retire quiesces). The active set is
+// always the prefix [0, active_loops()), so re-running the socket-aware
+// sharding over that prefix reproduces exactly what a static transport of
+// the same shape would compute. Every loop whose channel set changes
+// across a re-shard has its suspect/probe/EWMA drain state reset: a
+// verdict calibrated against the old channel set (or inherited from a
+// retired loop's slot) must not outlive the shape that produced it.
+// Orphaned queue depth is handed to the new owners with a doorbell pass;
+// requests in the races a repartition cannot close are recovered by the
+// ordinary deadline ladder.
 //
 // Observability: `ikc.ring.*` submit-path counters, `ikc.reply.*` return-
 // path counters (post/poll_hit/park/wakeup/ring_full/self_drain/
@@ -81,9 +87,11 @@
 // `ikc.numa.*` placement counters and `ikc.elastic.*` repartition counters
 // are threaded through the Linux kernel's SyscallProfiler, and every
 // request's queueing delay lands in the shared `Samples` the owning Ihk
-// summarizes.
+// summarizes. The per-channel depth histogram is read through
+// `depth_histogram()` only.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -142,10 +150,11 @@ class IkcTransport {
   /// queueing samples, owned by the Ihk that owns this transport. `phys`:
   /// when non-null, channel ring memory is really placed with
   /// `PhysMap::alloc_near` and the achieved domain drives NUMA pinning;
-  /// null falls back to ideal owner-socket placement. Ring-mode service
-  /// loops are spawned here and live until the engine destroys their
-  /// frames. Throws std::invalid_argument when `cfg.validate()` fails —
-  /// a misconfigured transport must not surface as a ladder of timeouts.
+  /// null falls back to ideal owner-socket placement. Ring-mode channels
+  /// and service loops are built here (the loops live until the engine
+  /// destroys their frames); direct mode builds neither. Throws
+  /// std::invalid_argument when `cfg.validate()` fails — a misconfigured
+  /// transport must not surface as a ladder of timeouts.
   IkcTransport(sim::Engine& engine, const os::Config& cfg, sim::Resource& service_cpus,
                os::SyscallProfiler& profiler, Samples& queueing_us, std::string lock_abi,
                mem::PhysMap* phys = nullptr);
@@ -162,18 +171,18 @@ class IkcTransport {
   sim::Task<Result<long>> offload(Service service, Priority prio, int channel_hint,
                                   JobId job = 0);
 
-  int num_channels() const { return channels_n_; }
-  int num_loops() const { return loops_n_; }
-  int loop_of(int channel) const {
-    return channel_loop_.at(static_cast<std::size_t>(channel));
-  }
+  /// Ring channels built (0 in direct mode).
+  int num_channels() const { return static_cast<int>(channels_.size()); }
+  /// Service loops of the boot shape (`linux_service_cpus`).
+  int num_loops() const { return std::max(cfg_.linux_service_cpus, 1); }
+  int loop_of(int channel) const { return channels_.at(static_cast<std::size_t>(channel))->loop; }
 
   /// --- elastic lifecycle (§8.7) -------------------------------------------
   /// Service loops currently draining: always the prefix [0, active_loops()).
   int active_loops() const { return active_loops_; }
   /// Loop slots provisioned (boot loops plus elastic_max_service_cpus
   /// headroom); attach_loop() cannot grow past this.
-  int max_loops() const { return static_cast<int>(loops_.size()); }
+  int max_loops() const { return std::max(num_loops(), cfg_.elastic_max_service_cpus); }
   /// Quiesce and retire the highest-numbered active service loop: it stops
   /// claiming, its channels are re-sharded onto the surviving loops (home-
   /// socket affinity recomputed over the new prefix), orphaned queue depth
@@ -183,7 +192,8 @@ class IkcTransport {
   sim::Task<Status> retire_loop();
   /// Re-activate the next loop slot with a fresh service loop (clean
   /// suspect/probe/EWMA state) and re-shard channels over the grown prefix.
-  /// ENOSPC when every provisioned slot is already active.
+  /// ENOSPC when every provisioned slot is already active; EBUSY while a
+  /// retire_loop() is still quiescing (its loop may run in that slot).
   sim::Task<Status> attach_loop();
 
   /// --- NUMA placement introspection --------------------------------------
@@ -237,9 +247,10 @@ class IkcTransport {
   void inject_stall(int loop, bool stalled);
   bool stall_injected(int loop) const { return loops_.at(loop)->stall_injected; }
   /// Kill every consumer currently waiting on `channel` (the owning LWK
-  /// process dies mid-offload): their offloads resolve to EINTR, queued
-  /// entries become stale, and completions the service side still produces
-  /// for them are dropped (`ikc.reply.consumer_dead`), never delivered.
+  /// process dies mid-offload): their unsettled offloads resolve to EINTR,
+  /// queued entries are skipped as dead (`ikc.ring.dead_skip`), and
+  /// completions the service side still produces for them are dropped
+  /// (`ikc.reply.consumer_dead`). A completion already posted stands.
   void inject_consumer_death(int channel);
   /// Drop completion doorbells aimed at `channel` while `lost` (a wedged
   /// LWK-side reply IRQ): parked consumers must recover via the
@@ -249,11 +260,17 @@ class IkcTransport {
   bool loop_suspect(int loop) const;
   std::uint64_t loop_served(int loop) const { return loops_.at(loop)->served; }
   std::size_t channel_depth(int channel) const;
-  std::size_t reply_ring_depth(int channel) const;
+  /// Completions posted on `channel` that its LWK core has not reclaimed.
+  std::size_t reply_ring_depth(int channel) const {
+    return channels_.at(static_cast<std::size_t>(channel))->reply_posted;
+  }
   /// Current reply-ring capacity (doubles under sustained ring-full).
-  std::size_t reply_ring_capacity(int channel) const;
+  std::size_t reply_ring_capacity(int channel) const {
+    return channels_.at(static_cast<std::size_t>(channel))->reply_capacity;
+  }
+  /// Enqueue-time depth histogram of `channel`.
   const DepthHistogram& depth_histogram(int channel) const {
-    return depth_hist_.at(channel);
+    return channels_.at(static_cast<std::size_t>(channel))->depth_hist;
   }
 
  private:
@@ -275,15 +292,17 @@ class IkcTransport {
             std::size_t reply_depth)
         : lock(engine, std::move(abi), lock_cost),
           rings{RingBuffer<RequestPtr>(depth), RingBuffer<RequestPtr>(depth)},
-          reply(reply_depth) {}
+          reply_capacity(reply_depth) {}
     os::SharedSpinlock lock;          // the cross-kernel ring lock (§3.3)
-    RingBuffer<RequestPtr> rings[2];  // [control, bulk]
-    RingBuffer<RequestPtr> reply;     // completions awaiting the LWK core
+    RingBuffer<RequestPtr> rings[2];  // [control, bulk]: every queued request
+    std::size_t reply_posted = 0;     // reply-ring occupancy (entries never read)
+    std::size_t reply_capacity;
     std::vector<RequestPtr> parked;   // consumers blocked on the reply doorbell
-    std::vector<std::weak_ptr<Request>> inflight;  // for consumer-death injection
     bool reply_doorbell_lost = false;  // fault injection: completion IPIs dropped
     int reply_full_strikes = 0;        // ring-full events since the last grow
     int home_socket = 0;               // socket owning this channel's ring memory
+    int loop = 0;                      // service loop draining it (shard_channels)
+    DepthHistogram depth_hist{};       // ring depth seen by each enqueue
     mem::PhysAddr ring_phys = 0;       // 0 → no real placement (no PhysMap)
   };
 
@@ -299,6 +318,7 @@ class IkcTransport {
     std::uint64_t served = 0;
     int socket = 0;               // where this loop runs (pinned or service CPU)
     std::vector<int> channels;    // the channels this loop owns, ascending
+    std::vector<RequestPtr> batch;  // claimed by the last collect: in service
     // Adaptive drain sizing: EWMA of the depth observed at each drain and
     // the clamped limit derived from it (§8.4).
     double depth_ewma = 0.0;
@@ -325,16 +345,19 @@ class IkcTransport {
   /// paid once per non-empty (channel, class) ring visited.
   sim::Task<> collect_batch(int loop, std::vector<RequestPtr>& out);
   /// Deliver one completed service result back to the submitter through
-  /// the channel's reply ring; reply-ring touches are recorded in `touched`
+  /// its channel's reply ring; reply-ring touches are recorded in `touched`
   /// so the post-batch doorbell pass can wake parked channels once each.
-  sim::Task<> deliver_reply(const RequestPtr& req, int channel, std::vector<int>& touched);
+  sim::Task<> deliver_reply(const RequestPtr& req, std::vector<int>& touched);
   /// Wait until `req` settles: poll the reply slot for
   /// `ikc_reply_poll_budget`, then park on the doorbell with the
   /// self-drain watchdog armed.
-  sim::Task<> await_reply(RequestPtr req, int channel);
-  /// Pop every posted completion notification on `channel` (the owning LWK
-  /// core draining its reply ring on wake-up or poll).
-  void drain_reply_ring(int channel);
+  sim::Task<> await_reply(RequestPtr req);
+  /// Doorbell IPI to a sleeping service loop (one per sleep: clears
+  /// `sleeping` before paying the IPI). Callers count it, or not.
+  sim::Task<> ring_doorbell(Loop& lp);
+  /// Completion IPI to `ch`'s LWK core; false when the fault injection
+  /// drops it (`ikc.reply.doorbell_lost`), and the caller wakes nobody.
+  sim::Task<bool> completion_ipi(Channel& ch);
 
   RingBuffer<RequestPtr>& ring(int channel, Priority prio) {
     return channels_[static_cast<std::size_t>(channel)]->rings[static_cast<int>(prio)];
@@ -356,7 +379,7 @@ class IkcTransport {
   void place_rings();
   /// Socket→loop channel sharding + loop pinning (ikc_numa_pin) or the
   /// legacy round-robin shard over the active prefix [0, active_loops_);
-  /// fills channel_loop_ and Loop::{socket,channels}. Re-run on every
+  /// fills Channel::loop and Loop::{socket,channels}. Re-run on every
   /// retire/attach — identical to a fresh transport of the same shape.
   void shard_channels();
   /// shard_channels + reset suspect/probe/EWMA drain state on every active
@@ -375,16 +398,11 @@ class IkcTransport {
   Samples& queueing_us_;
   mem::PhysMap* phys_;
   mem::NumaTopology topo_;
-  int channels_n_;
-  int loops_n_;
   int active_loops_;
+  int retires_in_flight_ = 0;  // retire_loop() calls still quiescing
+  // Ring mode only: both empty in direct mode.
   std::vector<std::unique_ptr<Channel>> channels_;
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::vector<int> channel_loop_;
-  std::vector<DepthHistogram> depth_hist_;
-  /// Cached per-channel counter names so enqueue-path bumps never build
-  /// strings ("ikc.ring.depth.ch<k>.le<n>").
-  std::vector<std::unique_ptr<std::array<std::string, kDepthBuckets>>> depth_names_;
   std::uint64_t probe_tick_ = 0;
 
   /// Per-job scheduling state. `vtime` is the weighted-fair virtual finish

@@ -21,28 +21,28 @@ std::vector<SyscallProfiler::Row> SyscallProfiler::rows(std::size_t top) const {
   return out;
 }
 
-double SyscallProfiler::share_of(const std::string& name) const {
+double SyscallProfiler::share_of(std::string_view name) const {
   auto it = calls_.find(name);
   if (it == calls_.end() || total_ == 0) return 0.0;
   return it->second.sum() / to_us(total_);
 }
 
-double SyscallProfiler::total_us_of(const std::string& name) const {
+double SyscallProfiler::total_us_of(std::string_view name) const {
   auto it = calls_.find(name);
   return it == calls_.end() ? 0.0 : it->second.sum();
 }
 
-std::uint64_t SyscallProfiler::count_of(const std::string& name) const {
+std::uint64_t SyscallProfiler::count_of(std::string_view name) const {
   auto it = calls_.find(name);
   return it == calls_.end() ? 0 : it->second.count();
 }
 
-std::uint64_t SyscallProfiler::counter(const std::string& name) const {
+std::uint64_t SyscallProfiler::counter(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
-std::uint64_t SyscallProfiler::sum_counters(const std::string& prefix) const {
+std::uint64_t SyscallProfiler::sum_counters(std::string_view prefix) const {
   std::uint64_t total = 0;
   for (auto it = counters_.lower_bound(prefix);
        it != counters_.end() && it->first.compare(0, prefix.size(), prefix) == 0; ++it)
@@ -51,8 +51,8 @@ std::uint64_t SyscallProfiler::sum_counters(const std::string& prefix) const {
 }
 
 void SyscallProfiler::merge(const SyscallProfiler& other) {
-  for (const auto& [name, stats] : other.calls_) calls_[name].merge(stats);
-  for (const auto& [name, n] : other.counters_) counters_[name] += n;
+  for (const auto& [name, stats] : other.calls_) slot(calls_, name).merge(stats);
+  for (const auto& [name, n] : other.counters_) slot(counters_, name) += n;
   total_ += other.total_;
 }
 

@@ -2,12 +2,15 @@
 // §4.3) and generic named-cost accounting used for Figures 8 and 9.
 // Also carries named event counters (extent-cache hits/misses, slab
 // reuse, ring-full fallbacks) so fast-path internals are observable from
-// the same place as the syscall profile.
+// the same place as the syscall profile. Names are `std::string_view`s: a
+// key string is allocated only on a name's first record or bump.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/stats.hpp"
@@ -17,14 +20,12 @@ namespace pd::os {
 
 class SyscallProfiler {
  public:
-  void record(const std::string& name, Dur kernel_time) {
-    auto& entry = calls_[name];
-    entry.add(to_us(kernel_time));
+  void record(std::string_view name, Dur kernel_time) {
+    slot(calls_, name).add(to_us(kernel_time));
     total_ += kernel_time;
   }
 
   Dur total_kernel_time() const { return total_; }
-  std::size_t distinct_calls() const { return calls_.size(); }
 
   struct Row {
     std::string name;
@@ -36,9 +37,9 @@ class SyscallProfiler {
   /// Rows sorted by descending total time; `top` = 0 returns all.
   std::vector<Row> rows(std::size_t top = 0) const;
 
-  double share_of(const std::string& name) const;
-  double total_us_of(const std::string& name) const;
-  std::uint64_t count_of(const std::string& name) const;
+  double share_of(std::string_view name) const;
+  double total_us_of(std::string_view name) const;
+  std::uint64_t count_of(std::string_view name) const;
 
   /// --- named event counters ----------------------------------------------
   /// Untimed occurrence counts (cache hits, slab reuses, fallbacks, ...).
@@ -46,11 +47,10 @@ class SyscallProfiler {
   /// ("pico.extent_cache.hit/miss/evicted_small"), so
   /// sum_counters("pico.extent_cache.") — minus the eviction events, which
   /// ride along with their miss — totals the lookups.
-  void bump(const std::string& name, std::uint64_t n = 1) { counters_[name] += n; }
-  std::uint64_t counter(const std::string& name) const;
+  void bump(std::string_view name, std::uint64_t n = 1) { slot(counters_, name) += n; }
+  std::uint64_t counter(std::string_view name) const;
   /// Sum of every counter whose name starts with `prefix`.
-  std::uint64_t sum_counters(const std::string& prefix) const;
-  const std::map<std::string, std::uint64_t>& counters() const { return counters_; }
+  std::uint64_t sum_counters(std::string_view prefix) const;
 
   void merge(const SyscallProfiler& other);
   void clear() {
@@ -60,8 +60,16 @@ class SyscallProfiler {
   }
 
  private:
-  std::map<std::string, RunningStats> calls_;
-  std::map<std::string, std::uint64_t> counters_;
+  /// `map[name]`, allocating the key only when `name` is new.
+  template <typename V>
+  static V& slot(std::map<std::string, V, std::less<>>& map, std::string_view name) {
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name) it = map.emplace_hint(it, name, V{});
+    return it->second;
+  }
+
+  std::map<std::string, RunningStats, std::less<>> calls_;
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
   Dur total_ = 0;
 };
 

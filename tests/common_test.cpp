@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/common/ring_buffer.hpp"
 #include "src/common/rng.hpp"
@@ -199,6 +200,21 @@ TEST(RingBuffer, WrapsManyTimes) {
     ASSERT_EQ(rb.pop(), i);
   }
   EXPECT_TRUE(rb.empty());
+}
+
+TEST(RingBuffer, ForEachVisitsQueuedItemsOldestFirst) {
+  RingBuffer<int> rb(3);
+  for (int i = 0; i < 5; ++i) {  // leave head and tail wrapped
+    ASSERT_TRUE(rb.push(i));
+    if (i < 3) {
+      ASSERT_EQ(rb.pop(), i);
+    }
+  }
+  ASSERT_TRUE(rb.push(5));
+  std::vector<int> seen;
+  rb.for_each([&](int v) { seen.push_back(v); });
+  EXPECT_EQ(seen, (std::vector<int>{3, 4, 5}));
+  EXPECT_EQ(rb.size(), 3u) << "visiting must not consume";
 }
 
 TEST(Units, FormatBytes) {

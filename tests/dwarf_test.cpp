@@ -256,6 +256,17 @@ TEST(ExtractMalformed, TypedefCycleIsRejected) {
   expect_einval(b, "cyclic", "x");
 }
 
+TEST(ExtractMalformed, TypedefPointerCycleIsRejected) {
+  // `typedef loop_t *loop_t;`: node 1 is the typedef, node 2 the pointer
+  // back to it. The size stops at the pointer and the declaration at the
+  // typedef name, so only a walk of the whole chain sees the cycle.
+  InfoBuilder b;
+  const TypeRef loop = b.add_typedef("loop_t", TypeRef{2});
+  b.add_pointer(loop);
+  b.add_struct("cyclic", 16, {{"x", loop, 0}});
+  expect_einval(b, "cyclic", "x");
+}
+
 TEST(ExtractMalformed, ArraySizeOverflowIsRejected) {
   // (2^61 + 1) eight-byte elements: the byte count wraps 64 bits to 8.
   InfoBuilder b;

@@ -266,6 +266,71 @@ TEST(FailureInjection, ConsumerDeathDropsCompletionsWithoutWedgingTheLoop) {
   EXPECT_GT(h.transport->loop_served(0), 0u);
 }
 
+TEST(FailureInjection, ConsumerDeathSettlesEachRequestByWhereItIs) {
+  // One channel, one loop, three requests caught at three stages when the
+  // consumer dies:
+  //   C — completion already posted, consumer parked behind a lost doorbell:
+  //       not taken back; C returns its value on the ikc_reply_deadline
+  //       self-drain;
+  //   A — claimed and in service: EINTR, its completion dropped
+  //       (ikc.reply.consumer_dead);
+  //   B — still queued behind A: EINTR, skipped at pop (ikc.ring.dead_skip).
+  auto cfg = reply_fault_cfg();
+  cfg.ikc_reply_deadline = from_us(1000);
+  ReplyFaultHarness h(cfg);
+  h.transport->inject_reply_doorbell_loss(0, true);
+
+  std::vector<Errno> c_err, a_err, b_err;
+  std::vector<long> c_val, a_val, b_val;
+  Time c_done = -1;
+  h.submit(1, from_us(5), c_err, c_val);  // C: outlives the 2-us poll budget
+  sim::spawn(h.engine, [](ReplyFaultHarness& hh, Time& out,
+                          const std::vector<long>& vals) -> sim::Task<> {
+    while (vals.empty()) co_await hh.engine.delay(from_us(1));
+    out = hh.engine.now();
+  }(h, c_done, c_val));
+
+  bool died = false;
+  h.engine.schedule_after(from_us(100), [&] {
+    // C has posted into a lost doorbell and is parked; the loop is idle.
+    ASSERT_EQ(h.counter("ikc.reply.doorbell_lost"), 1u);
+    ASSERT_TRUE(c_val.empty());
+    sim::spawn(h.engine, [](ReplyFaultHarness& hh, bool& dead, std::vector<Errno>& es,
+                            std::vector<long>& vs, std::vector<Errno>& bes,
+                            std::vector<long>& bvs) -> sim::Task<> {
+      auto r = co_await hh.transport->offload(  // A
+          [&]() -> sim::Task<Result<long>> {
+            hh.submit(3, from_us(5), bes, bvs);  // B queues behind A
+            co_await hh.engine.delay(from_us(30));
+            EXPECT_EQ(hh.transport->channel_depth(0), 1u) << "B must be queued";
+            hh.transport->inject_consumer_death(0);
+            dead = true;
+            co_await hh.engine.delay(from_us(30));
+            co_return 2L;
+          },
+          ikc::Priority::bulk, 0);
+      es.push_back(r.error());
+      vs.push_back(r.ok() ? *r : -1L);
+    }(h, died, a_err, a_val, b_err, b_val));
+  });
+  h.engine.run();
+
+  ASSERT_TRUE(died);
+  ASSERT_EQ(c_err.size(), 1u);
+  ASSERT_EQ(a_err.size(), 1u);
+  ASSERT_EQ(b_err.size(), 1u);
+  EXPECT_EQ(c_err[0], Errno::ok) << "a posted completion survives the death";
+  EXPECT_EQ(c_val[0], 1);
+  EXPECT_GE(c_done, cfg.ikc_reply_deadline) << "C is recovered by the self-drain";
+  EXPECT_EQ(h.counter("ikc.reply.self_drain"), 1u);
+  EXPECT_EQ(a_err[0], Errno::eintr);
+  EXPECT_EQ(h.counter("ikc.reply.consumer_dead"), 1u);
+  EXPECT_EQ(b_err[0], Errno::eintr);
+  EXPECT_EQ(h.counter("ikc.ring.dead_skip"), 1u);
+  EXPECT_EQ(h.counter("ikc.ring.stale_skip"), 0u);
+  EXPECT_EQ(h.transport->loop_served(0), 2u) << "C and A ran; B never did";
+}
+
 TEST(FairnessHarness, JainIndexScoresAllZeroSharesAsStarvation) {
   // A window in which no tenant completed anything is universal starvation,
   // not perfect fairness: it must score 0.0, never slip past a jain gate.

@@ -236,7 +236,6 @@ TEST(IkcTransport, DepthHistogramAccountsEveryEnqueue) {
     EXPECT_EQ(h.transport->channel_depth(ch), 0u) << "ring must drain by idle";
   }
   EXPECT_EQ(histogram_total, h.counter("ikc.ring.enqueue"));
-  EXPECT_EQ(histogram_total, h.linux_kernel->profiler().sum_counters("ikc.ring.depth."));
 }
 
 TEST(IkcTransport, DirectModeMatchesLegacyTiming) {
@@ -481,6 +480,32 @@ Status run_elastic(Harness& h, bool retire) {
   return out;
 }
 
+TEST(IkcTransport, DirectModeBuildsNoRingState) {
+  // The direct path never touches a ring, so it must not build one: no
+  // channel (hence no ring, lock, reply ring or histogram) and no service
+  // loop. Retire/attach are pure active-count bookkeeping there.
+  os::Config cfg;  // defaults: direct
+  cfg.linux_service_cpus = 2;
+  cfg.elastic_max_service_cpus = 3;
+  Harness h(cfg);
+  EXPECT_EQ(h.transport->num_channels(), 0);
+  EXPECT_EQ(h.transport->max_loops(), 3);
+  EXPECT_TRUE(run_elastic(h, /*retire=*/true).ok());
+  EXPECT_EQ(h.transport->active_loops(), 1);
+  EXPECT_EQ(run_elastic(h, /*retire=*/true).error(), Errno::einval);
+  EXPECT_TRUE(run_elastic(h, /*retire=*/false).ok());
+  EXPECT_TRUE(run_elastic(h, /*retire=*/false).ok());
+  EXPECT_EQ(run_elastic(h, /*retire=*/false).error(), Errno::enospc);
+  EXPECT_EQ(h.transport->active_loops(), 3);
+  EXPECT_EQ(h.counter("ikc.elastic.loop_retired"), 0u);
+  EXPECT_EQ(h.counter("ikc.elastic.loop_attached"), 0u);
+  std::vector<long> order, results;
+  for (int i = 0; i < 4; ++i) h.submit(i, Priority::bulk, i, order, results);
+  h.engine.run();
+  EXPECT_EQ(results.size(), 4u);
+  EXPECT_EQ(h.counter("ikc.direct.proxy_wakeup"), 4u);
+}
+
 TEST(IkcElastic, RetireQuiescesReshardsAndKeepsServing) {
   auto cfg = ring_cfg();
   cfg.linux_service_cpus = 3;
@@ -566,6 +591,45 @@ TEST(IkcElastic, AttachHeadroomGrowsBeyondBootShape) {
       owns |= h.transport->loop_of(c) == l;
     EXPECT_TRUE(owns) << "loop " << l << " owns no channels after attach";
   }
+}
+
+TEST(IkcElastic, AttachWhileRetireQuiescesIsBusy) {
+  // Regression: retire_loop() gives up its active slot before the loop has
+  // exited. An attach in that window used to take the same slot and free
+  // the Loop the retiring coroutine still ran on (a use-after-free under
+  // ASan). It must get EBUSY, and a later attach must revive the slot.
+  auto cfg = ring_cfg();
+  cfg.linux_service_cpus = 3;
+  cfg.ikc_channels = 6;
+  Harness h(cfg);
+  std::vector<long> order, results;
+  constexpr int kOps = 60;
+  for (int i = 0; i < kOps; ++i) h.submit(i, Priority::bulk, i % 6, order, results);
+  Status retire = Errno::eagain;
+  Status attach = Errno::eagain;
+  sim::spawn(h.engine, [](Harness& hh, Status& o) -> sim::Task<> {
+    co_await hh.engine.delay(from_us(5));
+    o = co_await hh.transport->retire_loop();
+  }(h, retire));
+  sim::spawn(h.engine, [](Harness& hh, Status& o) -> sim::Task<> {
+    co_await hh.engine.delay(from_us(6));
+    o = co_await hh.transport->attach_loop();
+  }(h, attach));
+  h.engine.run();
+  EXPECT_TRUE(retire.ok());
+  EXPECT_EQ(attach.error(), Errno::ebusy);
+  EXPECT_EQ(h.transport->active_loops(), 2);
+  ASSERT_EQ(results.size(), static_cast<std::size_t>(kOps));
+  std::vector<int> seen(kOps, 0);
+  for (long t : order) ++seen[static_cast<std::size_t>(t)];
+  for (int i = 0; i < kOps; ++i) EXPECT_EQ(seen[static_cast<std::size_t>(i)], 1) << "op " << i;
+
+  // Once the retire has quiesced, the slot revives and serves.
+  EXPECT_TRUE(run_elastic(h, /*retire=*/false).ok());
+  EXPECT_EQ(h.transport->active_loops(), 3);
+  for (int i = 0; i < 12; ++i) h.submit(100 + i, Priority::bulk, i % 6, order, results);
+  h.engine.run();
+  EXPECT_EQ(results.size(), static_cast<std::size_t>(kOps) + 12);
 }
 
 // Satellite regression: a loop retired while *suspect* (or with calibrated
