@@ -20,96 +20,81 @@ AddressSpace::~AddressSpace() {
 }
 
 Result<VirtAddr> AddressSpace::reserve_va(std::uint64_t len, std::uint64_t align) {
+  // ENOMEM once the cursor would leave the user range: a range past it is
+  // one get_user_pages() and every driver refuse.
   const VirtAddr addr = page_ceil(mmap_cursor_, align);
-  mmap_cursor_ = addr + page_ceil(len, kPage4K);
+  if (!user_range_ok(addr, len)) return Errno::enomem;
+  mmap_cursor_ = addr + len;
   return addr;
 }
 
 Result<VirtAddr> AddressSpace::mmap_anonymous(std::uint64_t len, std::uint32_t prot) {
+  // do_mmap's length checks; the second also keeps page_ceil from wrapping.
   if (len == 0) return Errno::einval;
+  if (len > kUserVaEnd) return Errno::enomem;
   len = page_ceil(len, kPage4K);
+  const bool lwk = policy_ == BackingPolicy::lwk_contig;
+  auto va = reserve_va(len, lwk && len >= kPage2M ? kPage2M : kPage4K);
+  if (!va.ok()) return va.error();
 
+  // Both kernels take the largest power-of-two block (<= what remains)
+  // first, halving on allocation failure down to 4 KiB.
   std::vector<Backing> backings;
-  auto rollback = [&] {
-    for (const auto& b : backings) phys_.free(b.pa, b.len);
-  };
-
-  if (policy_ == BackingPolicy::linux_4k) {
-    // Page-by-page backing. To model a fragmented host, allocate small
-    // random-order blocks so virtually adjacent pages land on physically
-    // scattered frames (contiguity across page boundaries is rare).
-    auto va = reserve_va(len, kPage4K);
-    for (std::uint64_t off = 0; off < len; off += kPage4K) {
-      auto pa = phys_.alloc(kPage4K, preferred_kind_);
-      if (!pa.ok()) {
-        rollback();
-        return pa.error();
-      }
-      backings.push_back(Backing{*pa, kPage4K, kPage4K});
+  for (std::uint64_t remaining = len; remaining > 0;) {
+    std::uint64_t chunk = std::uint64_t(1) << BuddyAllocator::order_for(remaining);
+    if (chunk > remaining) chunk >>= 1;
+    Result<PhysAddr> pa = phys_.alloc(chunk, preferred_kind_);
+    while (!pa.ok() && chunk > kPage4K) pa = phys_.alloc(chunk >>= 1, preferred_kind_);
+    if (!pa.ok()) {
+      for (const auto& b : backings) phys_.free(b.pa, b.len);
+      return pa.error();
     }
-    // Shuffle frame order before mapping: each allocation above may have
-    // been contiguous with its neighbour; a long-running kernel's page
-    // pool is not.
-    for (std::size_t i = backings.size(); i > 1; --i)
-      std::swap(backings[i - 1], backings[rng_.next_below(i)]);
-    VirtAddr cur = *va;
+    backings.push_back(Backing{*pa, chunk, kPage4K});
+    remaining -= chunk;
+  }
+
+  VirtAddr cur = *va;
+  if (lwk) {
+    // McKernel maps each block in place, with 2 MiB leaves where both
+    // addresses are aligned, and pins everything up front.
     for (auto& b : backings) {
-      Status s = pt_.map(cur, b.pa, kPage4K, prot);
+      if (b.len >= kPage2M && page_aligned(cur, kPage2M) && page_aligned(b.pa, kPage2M))
+        b.page = kPage2M;
+      Status s = pt_.map_range(cur, b.pa, b.len, b.page, prot);
+      assert(s.ok());
+      (void)s;
+      cur += b.len;
+    }
+    vma_pinned_frames_ += len / kPage4K;
+  } else {
+    // Linux maps 4 KiB leaves over the blocks' frames in shuffled order:
+    // a long-running kernel's page pool is not contiguous, so virtually
+    // adjacent pages are rarely physically adjacent.
+    std::vector<PhysAddr> frames;
+    frames.reserve(len / kPage4K);
+    for (const auto& b : backings)
+      for (std::uint64_t off = 0; off < b.len; off += kPage4K) frames.push_back(b.pa + off);
+    for (std::size_t i = frames.size(); i > 1; --i)
+      std::swap(frames[i - 1], frames[rng_.next_below(i)]);
+    for (const PhysAddr frame : frames) {
+      Status s = pt_.map(cur, frame, kPage4K, prot);
       assert(s.ok());
       (void)s;
       cur += kPage4K;
     }
-    Vma vma{*va, *va + len, prot, /*pinned=*/false, /*device=*/false};
-    vmas_.emplace(*va, vma);
-    backings_.emplace(*va, std::move(backings));
-    return *va;
   }
-
-  // LWK policy: back with the largest contiguous blocks available, 2 MiB
-  // leaves when alignment allows, and pin everything up front.
-  const std::uint64_t align = len >= kPage2M ? kPage2M : kPage4K;
-  auto va = reserve_va(len, align);
-  VirtAddr cur = *va;
-  std::uint64_t remaining = len;
-  while (remaining > 0) {
-    // Try the largest power-of-two chunk (<= remaining) first, shrinking on
-    // allocation failure; chunks >= 2 MiB map with large-page leaves.
-    std::uint64_t chunk = std::uint64_t(1) << BuddyAllocator::order_for(remaining);
-    if (chunk > remaining) chunk >>= 1;
-    chunk = std::max(chunk, kPage4K);
-    Result<PhysAddr> pa = Errno::enomem;
-    while (true) {
-      pa = phys_.alloc(chunk, preferred_kind_);
-      if (pa.ok() || chunk == kPage4K) break;
-      chunk >>= 1;
-    }
-    if (!pa.ok()) {
-      rollback();
-      pt_.unmap_range(*va, cur - *va);
-      return pa.error();
-    }
-    const bool large_ok = chunk >= kPage2M && page_aligned(cur, kPage2M) &&
-                          page_aligned(*pa, kPage2M);
-    const std::uint64_t leaf = large_ok ? kPage2M : kPage4K;
-    Status s = pt_.map_range(cur, *pa, chunk, leaf, prot);
-    assert(s.ok());
-    (void)s;
-    backings.push_back(Backing{*pa, chunk, leaf});
-    cur += chunk;
-    remaining -= chunk;
-  }
-  // The VMA is the pin: its frames stay pinned until munmap releases them.
-  Vma vma{*va, *va + len, prot, /*pinned=*/true, /*device=*/false};
-  vmas_.emplace(*va, vma);
+  // An LWK VMA is the pin: its frames stay pinned until munmap releases them.
+  vmas_.emplace(*va, Vma{*va, *va + len, prot, /*pinned=*/lwk, /*device=*/false});
   backings_.emplace(*va, std::move(backings));
-  vma_pinned_frames_ += len / kPage4K;
   return *va;
 }
 
 Result<VirtAddr> AddressSpace::mmap_device(PhysAddr pa, std::uint64_t len, std::uint32_t prot) {
   if (len == 0 || !page_aligned(pa, kPage4K)) return Errno::einval;
+  if (len > kUserVaEnd) return Errno::enomem;
   len = page_ceil(len, kPage4K);
   auto va = reserve_va(len, kPage4K);
+  if (!va.ok()) return va.error();
   Status s = pt_.map_range(*va, pa, len, kPage4K, prot);
   if (!s.ok()) return s.error();
   Vma vma{*va, *va + len, prot, /*pinned=*/true, /*device=*/true};
@@ -126,6 +111,8 @@ void AddressSpace::release_backing(const Vma& vma) {
 }
 
 Status AddressSpace::munmap(VirtAddr addr, std::uint64_t len) {
+  // __do_munmap's range check, before page_ceil can wrap a huge length.
+  if (!user_range_ok(addr, len)) return Errno::einval;
   auto it = vmas_.find(addr);
   if (it == vmas_.end() || it->second.end - it->second.start != page_ceil(len, kPage4K))
     return Errno::einval;

@@ -3,16 +3,19 @@
 //
 // The policy difference is the heart of paper §3.4:
 //
-//   * `BackingPolicy::linux_4k` — anonymous memory is backed page by page
-//     with 4 KiB frames allocated independently (deliberately shuffled
-//     placement so adjacent virtual pages are rarely physically adjacent,
-//     as on a long-running Linux node). Pages are not pinned; drivers must
-//     use get_user_pages() to pin them.
+//   * `BackingPolicy::linux_4k` — anonymous memory is mapped page by page
+//     with 4 KiB leaves over shuffled frames, so adjacent virtual pages are
+//     rarely physically adjacent, as on a long-running Linux node. Pages
+//     are not pinned; drivers must use get_user_pages() to pin them.
 //
 //   * `BackingPolicy::lwk_contig` — McKernel's policy: anonymous mappings
-//     are backed by the largest available physically contiguous blocks,
-//     using 2 MiB page-table leaves when alignment permits, and are pinned
-//     at creation (unmapped only by explicit user request).
+//     are mapped in place over their blocks, using 2 MiB page-table leaves
+//     when alignment permits, and are pinned at creation (unmapped only by
+//     explicit user request).
+//
+// Both policies take their frames the same way: the largest power-of-two
+// buddy block no bigger than what remains, halved on failure down to 4 KiB,
+// one `Backing` record per block. Only the mapping differs.
 //
 // Pins are kept at the granularity each kernel pins at: an LWK mapping is
 // pinned as a whole by its VMA (`Vma::pinned`), and get_user_pages() pins
@@ -66,15 +69,18 @@ class AddressSpace {
 
   BackingPolicy policy() const { return policy_; }
 
-  /// Anonymous mmap; returns the chosen virtual address.
+  /// Anonymous mmap; returns the chosen virtual address. EINVAL for a zero
+  /// length; ENOMEM when the mapping would not fit in the user range or
+  /// physical memory runs out.
   Result<VirtAddr> mmap_anonymous(std::uint64_t len, std::uint32_t prot);
 
   /// Map a device range (no frames allocated; pa supplied by the device).
   Result<VirtAddr> mmap_device(PhysAddr pa, std::uint64_t len, std::uint32_t prot);
 
   /// Unmap a previously mapped region. EINVAL unless [addr, addr+len)
-  /// exactly matches a VMA. Pinned LWK memory is released here too — this
-  /// is the "user requested operation" that is allowed to unpin.
+  /// passes `user_range_ok` and exactly matches a VMA. Pinned LWK memory is
+  /// released here too — this is the "user requested operation" that is
+  /// allowed to unpin.
   Status munmap(VirtAddr addr, std::uint64_t len);
 
   std::optional<Translation> translate(VirtAddr va) const { return pt_.translate(va); }
@@ -126,6 +132,7 @@ class AddressSpace {
   double large_page_fraction() const;
 
  private:
+  /// One buddy block of an anonymous mapping.
   struct Backing {
     PhysAddr pa;
     std::uint64_t len;      // allocation unit handed back to PhysMap

@@ -44,10 +44,6 @@ class BuddyAllocator {
   bool contains(PhysAddr addr) const { return addr >= base_ && addr < base_ + span_; }
 
  private:
-  struct FreeBlock {
-    PhysAddr addr;
-  };
-
   std::optional<PhysAddr> take_block(int order);
   void insert_block(int order, PhysAddr addr);
   bool remove_block(int order, PhysAddr addr);

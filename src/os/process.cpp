@@ -217,7 +217,10 @@ sim::Task<Result<mem::VirtAddr>> Process::mmap_dev(int fd, std::uint64_t len,
 
 sim::Task<Result<mem::VirtAddr>> Process::mmap_anon(std::uint64_t len) {
   const Time t0 = engine().now();
-  const std::uint64_t pages = mem::page_ceil(len, mem::kPage4K) / mem::kPage4K;
+  // A length past the user range fails before any page is touched, so it
+  // pays no per-page cost (and cannot overflow the charge).
+  const std::uint64_t pages =
+      len <= mem::kUserVaEnd ? mem::page_ceil(len, mem::kPage4K) / mem::kPage4K : 0;
   const Dur per_page = on_lwk() ? cfg().lwk_mmap_per_page : cfg().linux_mmap_per_page;
   co_await engine().delay(cfg().mmap_base_cost + static_cast<Dur>(pages) * per_page);
   auto va = as_->mmap_anonymous(len, mem::kProtRead | mem::kProtWrite);
@@ -228,7 +231,9 @@ sim::Task<Result<mem::VirtAddr>> Process::mmap_anon(std::uint64_t len) {
 
 sim::Task<Result<long>> Process::munmap(mem::VirtAddr addr, std::uint64_t len) {
   const Time t0 = engine().now();
-  const std::uint64_t pages = mem::page_ceil(len, mem::kPage4K) / mem::kPage4K;
+  // Likewise a range munmap refuses outright.
+  const std::uint64_t pages =
+      mem::user_range_ok(addr, len) ? mem::page_ceil(len, mem::kPage4K) / mem::kPage4K : 0;
   const Dur per_page = on_lwk() ? cfg().lwk_munmap_per_page : cfg().linux_munmap_per_page;
   co_await engine().delay(cfg().mmap_base_cost / 2 + static_cast<Dur>(pages) * per_page);
   Status s = as_->munmap(addr, len);

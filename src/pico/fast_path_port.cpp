@@ -84,7 +84,7 @@ mem::ExtentCache& FastPathPort::extent_cache_for(const os::OpenFile& f) {
         --count;
       }
     }
-    it = file_caches_.emplace(key, FileCacheNode{}).first;
+    it = file_caches_.try_emplace(key).first;
     file_cache_order_.push_back(key);
     it->second.order_pos = std::prev(file_cache_order_.end());
   } else {

@@ -3,6 +3,8 @@
 // translation/extent cache layered on top of it.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/common/units.hpp"
 #include "src/mem/address_space.hpp"
 #include "src/mem/extent_cache.hpp"
@@ -11,6 +13,10 @@ namespace pd::mem {
 namespace {
 
 PhysMap small_map() { return PhysMap::knl(64_MiB, 256_MiB, 1); }
+
+std::uint64_t free_total(const PhysMap& phys) {
+  return phys.free_bytes(MemKind::mcdram) + phys.free_bytes(MemKind::ddr);
+}
 
 constexpr VirtAddr kMmapBase = 0x0000'2000'0000ull;
 
@@ -39,6 +45,49 @@ TEST(AddressSpaceLinux, PagesAreScattered) {
     if (prev->pa + kPage4K == cur->pa) ++contiguous;
   }
   EXPECT_LT(contiguous, total / 4) << "Linux policy should scatter frames";
+}
+
+TEST(AddressSpaceLinux, MunmapReturnsMemoryToPhysMap) {
+  PhysMap phys = small_map();
+  const std::uint64_t before = free_total(phys);
+  AddressSpace as(phys, BackingPolicy::linux_4k, MemKind::ddr, kMmapBase);
+  auto va = as.mmap_anonymous(8_MiB, kProtRead | kProtWrite);
+  ASSERT_TRUE(va.ok());
+  EXPECT_EQ(before - free_total(phys), 8_MiB);
+  ASSERT_TRUE(as.munmap(*va, 8_MiB).ok());
+  EXPECT_EQ(free_total(phys), before);
+}
+
+TEST(AddressSpaceLinux, LargeMappingStaysScattered) {
+  // However the frames are allocated, an 8 MiB mapping must look like a
+  // long-running Linux node's: every page its own frame, and virtual
+  // neighbours almost never physical neighbours.
+  PhysMap phys = small_map();
+  AddressSpace as(phys, BackingPolicy::linux_4k, MemKind::ddr, kMmapBase);
+  auto va = as.mmap_anonymous(8_MiB, kProtRead | kProtWrite);
+  ASSERT_TRUE(va.ok());
+  std::set<PhysAddr> frames;
+  int contiguous = 0;
+  PhysAddr prev = 0;
+  for (std::uint64_t off = 0; off < 8_MiB; off += kPage4K) {
+    const auto t = as.translate(*va + off);
+    ASSERT_TRUE(t.has_value());
+    ASSERT_EQ(t->page, kPage4K);
+    frames.insert(t->pa);
+    if (off > 0 && prev + kPage4K == t->pa) ++contiguous;
+    prev = t->pa;
+  }
+  EXPECT_EQ(frames.size(), 8_MiB / kPage4K);
+  EXPECT_LT(contiguous * 100, 2047) << contiguous << " of 2047 neighbours are contiguous";
+}
+
+TEST(AddressSpaceLinux, FailedMmapRollsBack) {
+  PhysMap phys = small_map();
+  const std::uint64_t before = free_total(phys);
+  AddressSpace as(phys, BackingPolicy::linux_4k, MemKind::ddr, kMmapBase);
+  EXPECT_EQ(as.mmap_anonymous(512_MiB, kProtRead | kProtWrite).error(), Errno::enomem);
+  EXPECT_EQ(free_total(phys), before);
+  EXPECT_EQ(as.vma_count(), 0u);
 }
 
 TEST(AddressSpaceLinux, NotPinnedUntilGetUserPages) {
@@ -197,6 +246,43 @@ TEST(AddressSpace, MunmapReturnsMemoryToPhysMap) {
   }
   const std::uint64_t after = phys.free_bytes(MemKind::ddr) + phys.free_bytes(MemKind::mcdram);
   EXPECT_EQ(before, after);
+}
+
+TEST(AddressSpace, WrappingMmapLengthIsRejected) {
+  // page_ceil would wrap this length to 0, and a zero-length VMA at the
+  // cursor would shadow the next mapping and lose its frames.
+  for (const BackingPolicy policy : {BackingPolicy::linux_4k, BackingPolicy::lwk_contig}) {
+    PhysMap phys = small_map();
+    const std::uint64_t before = free_total(phys);
+    AddressSpace as(phys, policy, MemKind::mcdram, kMmapBase);
+    EXPECT_EQ(as.mmap_anonymous(0xFFFF'FFFF'FFFF'F001ull, kProtRead).error(), Errno::enomem);
+    EXPECT_EQ(as.mmap_anonymous(0, kProtRead).error(), Errno::einval);
+    EXPECT_EQ(as.vma_count(), 0u);
+    auto va = as.mmap_anonymous(64_KiB, kProtRead | kProtWrite);
+    ASSERT_TRUE(va.ok());
+    EXPECT_EQ(as.vma_count(), 1u);
+    EXPECT_EQ(as.munmap(*va, 0xFFFF'FFFF'FFFF'F001ull).error(), Errno::einval);
+    ASSERT_TRUE(as.munmap(*va, 64_KiB).ok());
+    EXPECT_EQ(free_total(phys), before);
+  }
+}
+
+TEST(AddressSpace, MmapPastUserRangeIsEnomem) {
+  // A space based 64 KiB below the end of the user range has room for one
+  // 64 KiB mapping; the next would end past it.
+  for (const BackingPolicy policy : {BackingPolicy::linux_4k, BackingPolicy::lwk_contig}) {
+    PhysMap phys = small_map();
+    const std::uint64_t before = free_total(phys);
+    AddressSpace as(phys, policy, MemKind::mcdram, kUserVaEnd - 64_KiB);
+    auto va = as.mmap_anonymous(64_KiB, kProtRead | kProtWrite);
+    ASSERT_TRUE(va.ok());
+    EXPECT_EQ(*va + 64_KiB, kUserVaEnd);
+    EXPECT_EQ(as.mmap_anonymous(64_KiB, kProtRead).error(), Errno::enomem);
+    EXPECT_EQ(as.mmap_anonymous(kUserVaEnd + 1, kProtRead).error(), Errno::enomem);
+    EXPECT_EQ(as.mmap_device(0xF000'0000ull, 4_KiB, kProtRead).error(), Errno::enomem);
+    EXPECT_EQ(as.vma_count(), 1u);
+    EXPECT_EQ(before - free_total(phys), 64_KiB);
+  }
 }
 
 TEST(AddressSpace, DeviceMappingDoesNotConsumePhys) {

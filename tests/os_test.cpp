@@ -257,6 +257,29 @@ TEST(Process, LwkMunmapCostlierThanLinux) {
             f.linux_kernel.profiler().total_us_of("munmap"));
 }
 
+TEST(Process, HugeMmapFailsBeforeChargingPerPageCost) {
+  // 2^60 and 2^62 bytes are 2^48 and 2^50 pages: charged per page before
+  // the length check, the cost overflows the signed clock.
+  ProcFixture f;
+  Process lnx(f.linux_kernel, f.phys, 0, 0, 9);
+  Process lwk(f.mck, f.phys, 0, 1, 10);
+  for (Process* proc : {&lnx, &lwk}) {
+    sim::spawn(f.engine, [](Process& p, sim::Engine& e) -> sim::Task<> {
+      for (const std::uint64_t len : {1ull << 60, 1ull << 62}) {
+        auto va = co_await p.mmap_anon(len);
+        EXPECT_EQ(va.error(), Errno::enomem);
+        EXPECT_LT(e.now(), from_ms(1.0));
+        auto r = co_await p.munmap(0x2AAA'0000'0000ull, len);
+        EXPECT_EQ(r.error(), Errno::einval);
+        EXPECT_LT(e.now(), from_ms(1.0));
+      }
+    }(*proc, f.engine));
+  }
+  f.engine.run();
+  EXPECT_EQ(f.linux_kernel.profiler().count_of("mmap"), 2u);
+  EXPECT_EQ(f.mck.profiler().count_of("munmap"), 2u);
+}
+
 TEST(Process, BadFdReturnsEbadf) {
   ProcFixture f;
   Process proc(f.linux_kernel, f.phys, 0, 0, 5);
@@ -411,7 +434,7 @@ TEST(ProcJobs, SnapshotReadsThroughVfsAndRewindRerenders) {
   // A native Linux reader pages through the table without offload noise.
   Process reader(f.linux_kernel, f.phys, 0, 2, 13);
   sim::spawn(f.engine,
-             [](ProcJobsFile& file, Process& a, Process& b, Process& rd) -> sim::Task<> {
+             [](ProcJobsFile&, Process& a, Process& b, Process& rd) -> sim::Task<> {
     for (Process* p : {&a, &b}) {
       auto fd = co_await p->open("/proc/pd/jobs");
       CO_ASSERT_TRUE(fd.ok());

@@ -138,7 +138,7 @@ RunOut run_script(const std::vector<BatchSpec>& script, bool fast) {
   auto proc = fast ? std::make_unique<os::Process>(*rig.mck, rig.phys, 0, 0, 42u)
                    : std::make_unique<os::Process>(*rig.linux_kernel, rig.phys, 0, 0, 42u);
   sim::spawn(rig.engine,
-             [](Rig& r, os::Process& p, const std::vector<BatchSpec>& batches,
+             [](Rig&, os::Process& p, const std::vector<BatchSpec>& batches,
                 RunOut& o) -> sim::Task<> {
     auto fd = co_await p.open(doom::kDeviceName);
     CO_ASSERT_TRUE(fd.ok());

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/flat_map.hpp"
@@ -30,8 +31,10 @@ TEST_P(AddressSpaceProperty, RandomMmapChurnConservesEverything) {
   const AsCase c = GetParam();
   const bool lwk = c.policy == BackingPolicy::lwk_contig;
   PhysMap phys = PhysMap::knl(128_MiB, 256_MiB, 2);
-  const std::uint64_t initial =
-      phys.free_bytes(MemKind::mcdram) + phys.free_bytes(MemKind::ddr);
+  auto free_total = [&phys] {
+    return phys.free_bytes(MemKind::mcdram) + phys.free_bytes(MemKind::ddr);
+  };
+  const std::uint64_t initial = free_total();
   Rng rng(c.seed);
 
   {
@@ -53,6 +56,11 @@ TEST_P(AddressSpaceProperty, RandomMmapChurnConservesEverything) {
       return model.count(frame) > 0;
     };
     std::vector<PhysAddr> last_unmapped;  // frames of the latest munmap
+    // Every live page's frame, and the bytes the live regions span: memory
+    // taken from the PhysMap is exactly what the live regions hold, and no
+    // frame backs two live pages.
+    std::unordered_set<PhysAddr> live_frames;
+    std::uint64_t live_bytes = 0;
 
     for (int step = 0; step < 600; ++step) {
       const int op = static_cast<int>(rng.next_below(10));
@@ -66,6 +74,9 @@ TEST_P(AddressSpaceProperty, RandomMmapChurnConservesEverything) {
             ASSERT_TRUE(t.has_value());
             r.frames.push_back(page_floor(t->pa, kPage4K));
           }
+          for (const PhysAddr frame : r.frames)
+            ASSERT_TRUE(live_frames.insert(frame).second) << "frame backs two live pages";
+          live_bytes += len;
           if (lwk)
             for (const PhysAddr frame : r.frames) add(frame, +1);
           live.push_back(std::move(r));
@@ -80,6 +91,8 @@ TEST_P(AddressSpaceProperty, RandomMmapChurnConservesEverything) {
           if (region == live[pick].va) held.push_back(&pages);
         if (held.empty() || rng.next_below(4) == 0) {
           ASSERT_TRUE(as.munmap(live[pick].va, live[pick].len).ok());
+          for (const PhysAddr frame : live[pick].frames) live_frames.erase(frame);
+          live_bytes -= live[pick].len;
           if (lwk)
             for (const PhysAddr frame : live[pick].frames) add(frame, -1);
           for (const PinnedPages* pages : held)
@@ -111,6 +124,7 @@ TEST_P(AddressSpaceProperty, RandomMmapChurnConservesEverything) {
       }
 
       // Invariants after every step.
+      ASSERT_EQ(initial - free_total(), live_bytes) << "step " << step;
       for (const auto& r : live) {
         auto t = as.translate(r.va + rng.next_below(r.len));
         ASSERT_TRUE(t.has_value()) << "live region must stay mapped";
@@ -137,8 +151,7 @@ TEST_P(AddressSpaceProperty, RandomMmapChurnConservesEverything) {
     EXPECT_EQ(as.pinned_frame_count(), model.size());
     // Destructor releases everything still mapped.
   }
-  EXPECT_EQ(phys.free_bytes(MemKind::mcdram) + phys.free_bytes(MemKind::ddr), initial)
-      << "physical memory leaked or double-freed";
+  EXPECT_EQ(free_total(), initial) << "physical memory leaked or double-freed";
 }
 
 INSTANTIATE_TEST_SUITE_P(
