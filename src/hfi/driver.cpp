@@ -184,17 +184,17 @@ sim::Task<Result<long>> HfiDriver::writev(os::OpenFile& f, std::span<const os::I
   req.header.payload_bytes = total_bytes;
   // The hardware IRQ fires on a Linux service CPU; the driver's cleanup
   // callback (unpin + kfree) lives in Linux TEXT, the user notification is
-  // the completion-queue update PSM polls.
+  // the completion-queue update PSM polls. The completion runs exactly
+  // once, so the pin list is moved into it and on into the IRQ callback.
   auto user_done = hdr->on_complete;
   auto meta_addr = *meta;
   auto* self = this;
   mem::AddressSpace* asp = &as;
-  std::vector<mem::PinnedPages> pins_moved = std::move(pins);
-  req.on_complete = [self, asp, pins_moved, meta_addr, user_done]() {
+  req.on_complete = [self, asp, pins = std::move(pins), meta_addr, user_done]() mutable {
     std::vector<os::KernelCallback> chain;
     chain.push_back(os::KernelCallback{
-        self->completion_callback_text(), [self, asp, pins_moved, meta_addr] {
-          for (const auto& p : pins_moved) asp->put_user_pages(p);
+        self->completion_callback_text(), [self, asp, pins = std::move(pins), meta_addr] {
+          for (const auto& p : pins) asp->put_user_pages(p);
           (void)self->linux_.kheap().kfree(meta_addr, self->alloc_cpu());
         }});
     if (user_done)

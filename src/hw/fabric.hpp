@@ -28,7 +28,8 @@ struct FabricConfig {
 };
 
 /// Delivery callback: invoked on the destination node when a chunk has
-/// fully arrived through the ingress port.
+/// fully arrived through the ingress port. A chunk is a whole message;
+/// nothing downstream reassembles.
 using ChunkSink = std::function<void(const WireChunk&)>;
 
 class Fabric {

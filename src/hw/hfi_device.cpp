@@ -1,7 +1,5 @@
 #include "src/hw/hfi_device.hpp"
 
-#include <tuple>
-
 #include "src/common/log.hpp"
 
 namespace pd::hw {
@@ -23,7 +21,6 @@ Status HfiDevice::pio_send(const WireMessage& msg) {
   WireChunk chunk;
   chunk.msg = msg;
   chunk.chunk_bytes = msg.payload_bytes;
-  chunk.last = true;
   fabric_.send(std::move(chunk));
   return Status::success();
 }
@@ -46,30 +43,20 @@ void HfiDevice::close_context(int ctxt) {
 }
 
 void HfiDevice::on_chunk(const WireChunk& chunk) {
-  const auto key = std::make_tuple(chunk.msg.src_node, chunk.msg.src_ctxt, chunk.msg.seq);
-  std::uint64_t& seen = partial_[key];
-  seen += chunk.chunk_bytes;
-  // A message is complete when the marked-last chunk has arrived; chunks of
-  // one request traverse one engine and one path, so `last` arrives last.
-  if (!chunk.last) return;
-
-  const std::uint64_t total = seen;
-  partial_.erase(key);
-
   auto it = contexts_.find(chunk.msg.dst_ctxt);
   if (it == contexts_.end()) {
     ++dropped_;
     PD_LOG(warn) << "hfi" << node_id_ << ": chunk for closed context " << chunk.msg.dst_ctxt
                  << " kind=" << static_cast<int>(chunk.msg.kind) << " src=" << chunk.msg.src_node
                  << "/" << chunk.msg.src_ctxt << " msg_id=" << chunk.msg.msg_id
-                 << " win=" << chunk.msg.window << " bytes=" << total;
+                 << " win=" << chunk.msg.window << " bytes=" << chunk.chunk_bytes;
     return;
   }
   ++rx_messages_;
   RxEvent ev;
   ev.kind = chunk.msg.kind;
   ev.match_bits = chunk.msg.match_bits;
-  ev.bytes = total;
+  ev.bytes = chunk.chunk_bytes;
   ev.src_node = chunk.msg.src_node;
   ev.src_ctxt = chunk.msg.src_ctxt;
   ev.tid = chunk.msg.tid;

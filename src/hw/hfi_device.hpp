@@ -1,5 +1,7 @@
 // The Host Fabric Interface device model: PIO send path, 16 SDMA engines,
-// the RcvArray, and per-context receive queues with chunk reassembly.
+// the RcvArray, and per-context receive queues. Every send is one chunk
+// (one PIO packet or one whole SDMA request), so each arriving chunk is a
+// complete message.
 //
 // The device knows nothing about kernels or drivers: it takes descriptor
 // lists and raises completion callbacks. Which CPU fields the "IRQ" — and
@@ -21,7 +23,7 @@
 
 namespace pd::hw {
 
-/// What a receive context sees when a message has fully arrived.
+/// What a receive context sees when a message (one chunk) has arrived.
 struct RxEvent {
   WireKind kind = WireKind::ctrl;
   std::uint64_t match_bits = 0;
@@ -91,8 +93,6 @@ class HfiDevice {
   int next_engine_ = 0;
 
   std::map<int, std::unique_ptr<sim::Channel<RxEvent>>> contexts_;
-  // Reassembly state: (src_node, src_ctxt, seq) -> bytes seen so far.
-  std::map<std::tuple<int, int, std::uint64_t>, std::uint64_t> partial_;
   std::uint64_t rx_messages_ = 0;
   std::uint64_t dropped_ = 0;
 };

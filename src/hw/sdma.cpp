@@ -63,7 +63,6 @@ sim::Task<> SdmaEngine::run() {
       chunk.msg = req.header;
       chunk.chunk_bytes = total_bytes;
       chunk.serialize_cost = std::max(wire_time, engine_time - fill);
-      chunk.last = true;
 
       // Completion fires when the last byte has left the egress port; the
       // engine itself moves on as soon as the transfer is queued.

@@ -14,8 +14,9 @@ enum class WireKind : std::uint8_t {
   expected,  // direct data placement via a programmed RcvArray TID
 };
 
-/// One message as seen by the fabric; large sends are carried as several
-/// chunks that the destination NIC reassembles by (src_node, src_seq).
+/// One message as seen by the fabric. It travels as one chunk: a PIO packet
+/// or a whole SDMA request, whose descriptor granularity is kept in the
+/// chunk's `serialize_cost`.
 struct WireMessage {
   int src_node = 0;
   int dst_node = 0;
@@ -24,7 +25,7 @@ struct WireMessage {
   WireKind kind = WireKind::ctrl;
   std::uint64_t match_bits = 0;  // PSM tag/metadata, opaque to hw
   std::uint64_t payload_bytes = 0;
-  std::uint64_t seq = 0;  // per-source sequence for reassembly
+  std::uint64_t seq = 0;  // per-source sequence number (set by PSM)
 
   std::uint32_t tid = 0;  // expected: RcvArray entry index
 
@@ -50,10 +51,9 @@ enum CtrlKind : std::uint8_t {
 /// pre-computed by the sender, so descriptor size still shapes bandwidth
 /// even though the fabric moves whole requests.
 struct WireChunk {
-  WireMessage msg;            // header replicated on each chunk
-  std::uint64_t chunk_bytes = 0;
-  bool last = false;          // completes the message at the destination
-  Dur serialize_cost = 0;     // 0 → fabric derives from chunk_bytes
+  WireMessage msg;
+  std::uint64_t chunk_bytes = 0;  // the whole message's bytes
+  Dur serialize_cost = 0;         // 0 → fabric derives from chunk_bytes
 };
 
 }  // namespace pd::hw

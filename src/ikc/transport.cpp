@@ -453,7 +453,10 @@ sim::Task<Result<long>> IkcTransport::ring_offload(Service service, Priority pri
     ch = pick_channel(ch);
     if (ch < 0) break;  // every loop suspect: straight to the direct path
 
-    auto req = std::make_shared<Request>(engine_);
+    // Not make_shared: the timers below keep weak references for up to
+    // ikc_deadline, and an object sharing its control block would stay
+    // allocated until the last of them fired.
+    RequestPtr req(new Request(engine_));
     req->service = service;
     req->channel = ch;
     req->job = job_id;
@@ -481,11 +484,14 @@ sim::Task<Result<long>> IkcTransport::ring_offload(Service service, Priority pri
     }
 
     // Ring-residency watchdog. Fires only while still queued; a claimed or
-    // completed request is past the window the deadline protects.
-    engine_.schedule_after(cfg_.ikc_deadline, [req] {
-      if (req->state == Request::State::queued) {
-        req->state = Request::State::timed_out;
-        req->wake.send(kWakeDeadline);
+    // completed request is past the window the deadline protects. It does
+    // not own the request: one that has settled and been dropped by its
+    // ring, batch and submitter is past that window too.
+    engine_.schedule_after(cfg_.ikc_deadline, [weak = std::weak_ptr<Request>(req)] {
+      const RequestPtr r = weak.lock();
+      if (r && r->state == Request::State::queued) {
+        r->state = Request::State::timed_out;
+        r->wake.send(kWakeDeadline);
       }
     });
 
@@ -541,9 +547,11 @@ sim::Task<> IkcTransport::await_reply(RequestPtr req) {
     // Unconditional: the case the watchdog exists for is a completion that
     // already landed (state == done) whose doorbell was lost — a settled()
     // guard would skip exactly that. A wake nobody is waiting for just
-    // sits in the request's queue and dies with it.
-    engine_.schedule_after(cfg_.ikc_reply_deadline,
-                           [req] { req->wake.send(kWakeSelfDrain); });
+    // sits in the request's queue and dies with it; a request nobody holds
+    // any more has no waiter, so the watchdog holds it weakly.
+    engine_.schedule_after(cfg_.ikc_reply_deadline, [weak = std::weak_ptr<Request>(req)] {
+      if (const RequestPtr r = weak.lock()) r->wake.send(kWakeSelfDrain);
+    });
     const int why = co_await req->wake.recv();
     std::erase(ch.parked, req);
     ch.reply_posted = 0;

@@ -20,6 +20,12 @@
 //
 // A ring-mode request lives in one place until it settles: its channel's
 // request ring while queued, the claiming loop's `batch` while in service.
+// Its owners are that slot, the offloading coroutine and, while it is
+// parked, its channel's `parked` list; it is freed when the last of them
+// lets go, within microseconds of its reply. Its ring-residency watchdog
+// (`ikc_deadline`) and self-drain timer (`ikc_reply_deadline`) hold it
+// weakly: they still fire, and do nothing for a request that is gone
+// (§8.13).
 //
 // Three ring-mode mechanisms shape the rest of the round trip (§8.4):
 //
@@ -285,6 +291,8 @@ class IkcTransport {
     JobId job = 0;           // tenant the fair drain schedules by
     sim::Channel<int> wake;  // reply doorbell / watchdog pokes
   };
+  /// Owned by its ring slot or loop batch, its `parked` entry and the
+  /// offloading coroutine; the timers keep `std::weak_ptr`s.
   using RequestPtr = std::shared_ptr<Request>;
 
   struct Channel {

@@ -106,9 +106,14 @@ Engine::~Engine() {
     if (n->drop != nullptr) n->drop(*n);
   // Detached service coroutines (device engines etc.) loop forever and
   // are still suspended when the simulation ends; reclaim their frames.
-  // Nothing resumes during teardown, so destroying in set order is safe —
-  // detached frames are top-level and never own one another.
-  for (void* addr : detached_) std::coroutine_handle<>::from_address(addr).destroy();
+  // Nothing resumes during teardown, so destroying in list order is safe —
+  // detached frames are top-level and never own one another. Each link
+  // lives in the frame it names: read the next one before destroying it.
+  for (detail::DetachedLink* link = detached_; link != nullptr;) {
+    detail::DetachedLink* next = link->next;
+    std::coroutine_handle<>::from_address(link->frame).destroy();
+    link = next;
+  }
 }
 
 void Engine::schedule_resume(Dur d, std::coroutine_handle<> h) {

@@ -40,7 +40,6 @@
 #include <memory>
 #include <new>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -62,6 +61,15 @@ struct FramePoolCounters {
   std::uint64_t pool_hits;    ///< frames served from a free list
 };
 FramePoolCounters frame_pool_counters() noexcept;
+
+/// A detached task's place in its engine's list of live detached frames.
+/// It lives in the task's promise (task.hpp), so a spawn costs no host
+/// allocation.
+struct DetachedLink {
+  DetachedLink* prev = nullptr;
+  DetachedLink* next = nullptr;
+  void* frame = nullptr;  // coroutine frame holding this link
+};
 
 }  // namespace detail
 
@@ -140,13 +148,24 @@ class Engine {
   Stats stats() const { return stats_; }
 
   // --- Detached-task bookkeeping (see spawn in task.hpp) -------------------
-  // The engine records each detached frame so immortal service loops
-  // (device engines that `while (true)` forever) are destroyed with the
-  // engine rather than leaked when the simulation ends.
+  // The engine links each detached frame into a list so immortal service
+  // loops (device engines that `while (true)` forever) are destroyed with
+  // the engine rather than leaked when the simulation ends.
 
-  void note_task_spawned(std::coroutine_handle<> h) { detached_.insert(h.address()); }
-  void note_task_done(std::coroutine_handle<> h) { detached_.erase(h.address()); }
-  std::int64_t live_tasks() const { return static_cast<std::int64_t>(detached_.size()); }
+  void note_task_spawned(detail::DetachedLink& link, std::coroutine_handle<> h) {
+    link.frame = h.address();
+    link.prev = nullptr;
+    link.next = detached_;
+    if (detached_ != nullptr) detached_->prev = &link;
+    detached_ = &link;
+    ++live_tasks_;
+  }
+  void note_task_done(detail::DetachedLink& link) {
+    (link.prev != nullptr ? link.prev->next : detached_) = link.next;
+    if (link.next != nullptr) link.next->prev = link.prev;
+    --live_tasks_;
+  }
+  std::int64_t live_tasks() const { return live_tasks_; }
 
  private:
   struct EventNode {
@@ -264,7 +283,8 @@ class Engine {
   EventNode* free_list_ = nullptr;
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
 
-  std::unordered_set<void*> detached_;  // frames of live detached tasks
+  detail::DetachedLink* detached_ = nullptr;  // live detached tasks, newest first
+  std::int64_t live_tasks_ = 0;
   Stats stats_;
 };
 

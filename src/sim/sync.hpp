@@ -9,12 +9,18 @@
 // All primitives schedule resumptions through the engine queue instead of
 // resuming inline, so a trigger/release never reenters the caller and
 // event ordering stays strictly time/sequence based.
+//
+// Channel and Resource queue items and waiters in a `detail::Fifo`, which
+// allocates nothing until its first push. Most of these queues stay empty
+// for their whole life (an IKC request's reply doorbell, an uncontended
+// spin-lock), and libstdc++'s deque allocates a 512-byte node and its map
+// on construction, in each of them (DESIGN.md §8.13).
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -22,6 +28,49 @@
 #include "src/sim/engine.hpp"
 
 namespace pd::sim {
+
+namespace detail {
+
+/// FIFO queue on a power-of-two ring buffer: empty until the first push,
+/// doubled when full, never shrunk.
+template <typename T>
+class Fifo {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  T& front() { return buf_[head_]; }
+
+  void push_back(T item) {
+    if (size_ == cap_) grow();
+    buf_[(head_ + size_) & (cap_ - 1)] = std::move(item);
+    ++size_;
+  }
+
+  T pop_front() {
+    assert(size_ > 0);
+    T item = std::move(buf_[head_]);
+    head_ = (head_ + 1) & (cap_ - 1);
+    --size_;
+    return item;
+  }
+
+ private:
+  void grow() {
+    const std::size_t cap = cap_ == 0 ? 4 : 2 * cap_;
+    auto buf = std::make_unique<T[]>(cap);
+    for (std::size_t i = 0; i < size_; ++i) buf[i] = std::move(buf_[(head_ + i) & (cap_ - 1)]);
+    buf_ = std::move(buf);
+    cap_ = cap;
+    head_ = 0;
+  }
+
+  std::unique_ptr<T[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
 
 /// One-shot broadcast: waiters before trigger() suspend, waiters after
 /// proceed immediately. Reusable objects should use Channel instead.
@@ -65,8 +114,7 @@ class Channel {
 
   void send(T item) {
     if (!waiters_.empty()) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
+      Waiter w = waiters_.pop_front();
       *w.slot = std::move(item);
       engine_->schedule_resume(0, w.h);
       return;
@@ -83,8 +131,7 @@ class Channel {
 
     bool await_ready() {
       if (ch.items_.empty()) return false;
-      slot = std::move(ch.items_.front());
-      ch.items_.pop_front();
+      slot = ch.items_.pop_front();
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
@@ -104,8 +151,8 @@ class Channel {
   };
 
   Engine* engine_;
-  std::deque<T> items_;
-  std::deque<Waiter> waiters_;
+  detail::Fifo<T> items_;
+  detail::Fifo<Waiter> waiters_;
 };
 
 /// Counted FIFO semaphore. acquire(n) suspends until n units are free and
@@ -205,8 +252,7 @@ class Resource {
 
   void grant() {
     while (!waiters_.empty() && waiters_.front().n <= free_) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
+      const Waiter w = waiters_.pop_front();
       free_ -= w.n;
       engine_->schedule_resume(0, w.h);
     }
@@ -216,7 +262,7 @@ class Resource {
   std::size_t free_;
   std::size_t capacity_;
   std::size_t debt_ = 0;  // held units shrink() is still owed
-  std::deque<Waiter> waiters_;
+  detail::Fifo<Waiter> waiters_;
 };
 
 }  // namespace pd::sim

@@ -30,6 +30,7 @@ namespace detail {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   Engine* detached_owner = nullptr;  // non-null once detached via spawn()
+  DetachedLink detached;             // in detached_owner's list while live
   std::exception_ptr exception;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
@@ -53,7 +54,7 @@ struct FinalAwaiter {
     if (p.detached_owner != nullptr) {
       // A detached simulated process has nobody to rethrow into.
       assert(!p.exception && "unhandled exception escaped a detached Task");
-      p.detached_owner->note_task_done(h);
+      p.detached_owner->note_task_done(p.detached);
       h.destroy();
       return std::noop_coroutine();
     }
@@ -177,7 +178,7 @@ void spawn(Engine& engine, Task<U> task) {
   assert(task.valid());
   auto h = std::exchange(task.h_, {});
   h.promise().detached_owner = &engine;
-  engine.note_task_spawned(h);
+  engine.note_task_spawned(h.promise().detached, h);
   h.resume();
 }
 

@@ -1,5 +1,5 @@
 // Tests for the hardware model: fabric timing/contention, SDMA engine
-// descriptor processing and completion order, RcvArray, device reassembly.
+// descriptor processing and completion order, RcvArray, device delivery.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -16,7 +16,7 @@ namespace {
 
 using namespace pd::time_literals;
 
-WireChunk make_chunk(int src, int dst, std::uint64_t bytes, std::uint64_t seq, bool last = true) {
+WireChunk make_chunk(int src, int dst, std::uint64_t bytes, std::uint64_t seq) {
   WireChunk c;
   c.msg.src_node = src;
   c.msg.dst_node = dst;
@@ -25,7 +25,6 @@ WireChunk make_chunk(int src, int dst, std::uint64_t bytes, std::uint64_t seq, b
   c.msg.payload_bytes = bytes;
   c.msg.seq = seq;
   c.chunk_bytes = bytes;
-  c.last = last;
   return c;
 }
 

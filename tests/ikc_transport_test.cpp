@@ -381,6 +381,59 @@ TEST(IkcReply, LostDoorbellRecoveredBySelfDrain) {
   EXPECT_EQ(h.counter("ikc.reply.wakeup"), 0u);
 }
 
+/// Offload once on channel 0 with a service of `work` whose closure holds
+/// `sentinel`; `returned` is set when the offload has come back. The
+/// service is a named local: GCC 12 destroys a capturing lambda temporary
+/// twice when it is an argument inside a `co_await` expression.
+void offload_holding(Harness& h, const std::shared_ptr<int>& sentinel, Dur work,
+                     bool& returned) {
+  sim::spawn(h.engine, [](Harness& hh, std::shared_ptr<int> held, Dur d,
+                          bool& done) -> sim::Task<> {
+    Service service = [&hh, held, d]() -> sim::Task<Result<long>> {
+      co_await hh.engine.delay(d);
+      co_return 1L;
+    };
+    auto r = co_await hh.transport->offload(service, Priority::bulk, 0);
+    EXPECT_TRUE(r.ok());
+    done = true;
+  }(h, sentinel, work, returned));
+}
+
+TEST(IkcLifetime, CompletedOffloadReleasesItsRequestBeforeTheWatchdog) {
+  // The request owns a copy of the service closure, which holds the
+  // sentinel. Once the offload has returned nothing may keep the request
+  // alive, and its 10 ms ring-residency watchdog must not either.
+  Harness h(ring_cfg());
+  auto sentinel = std::make_shared<int>(0);
+  bool returned = false;
+  offload_holding(h, sentinel, from_us(2), returned);
+  h.engine.run_until(from_ms(1));
+  ASSERT_TRUE(returned);
+  EXPECT_EQ(sentinel.use_count(), 1) << "a settled request outlived its offload";
+  EXPECT_FALSE(h.engine.idle()) << "the watchdog is still pending";
+  h.engine.run();
+  EXPECT_GE(h.engine.now(), h.cfg.ikc_deadline) << "the watchdog no longer fires";
+}
+
+TEST(IkcLifetime, ParkedOffloadReleasesItsRequestBeforeTheSelfDrain) {
+  // The service outlasts the poll budget, so the consumer parks and arms
+  // its 2 ms self-drain timer; the doorbell wakes it long before that.
+  auto cfg = ring_cfg();
+  cfg.linux_service_cpus = 1;
+  cfg.ikc_channels = 1;
+  cfg.ikc_reply_poll_budget = from_us(2);
+  Harness h(cfg);
+  auto sentinel = std::make_shared<int>(0);
+  bool returned = false;
+  offload_holding(h, sentinel, from_us(40), returned);
+  h.engine.run_until(from_us(500));
+  ASSERT_TRUE(returned);
+  EXPECT_GE(h.counter("ikc.reply.park"), 1u);
+  EXPECT_EQ(sentinel.use_count(), 1) << "a settled request outlived its offload";
+  h.engine.run();
+  EXPECT_GE(h.engine.now(), h.cfg.ikc_deadline) << "the watchdog no longer fires";
+}
+
 TEST(IkcAdaptive, DrainLimitConvergesToOfferedDepth) {
   // A constant offered depth of 12 must pull the drain limit up from its
   // starting value of 1 until (nearly) the whole wave drains in one batch.

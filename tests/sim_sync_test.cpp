@@ -2,6 +2,11 @@
 // the queueing behaviour the offload-contention model depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "src/common/time.hpp"
@@ -9,10 +14,31 @@
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 
+// Count every host allocation in this binary, so a test can show that
+// building a primitive touches no allocator. The deletes stay out of line:
+// inlined into this file's callers, GCC pairs its builtin operator new
+// with the free() and warns (-Wmismatched-new-delete).
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace pd::sim {
 namespace {
 
 using namespace pd::time_literals;
+
+std::uint64_t heap_allocs() { return g_heap_allocs.load(std::memory_order_relaxed); }
 
 TEST(Latch, WaitersResumeAfterTrigger) {
   Engine e;
@@ -110,6 +136,57 @@ TEST(Channel, BuffersWhenNoReceiver) {
   }(ch, got));
   e.run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Channel, InterleavedTrafficKeepsFifoOrder) {
+  // 1,200 items through one channel with a receiver taking one per 2 ns.
+  // In bursts (one item per ns) the sender runs ahead, so items buffer and
+  // the queue grows and wraps; in trickles (one per 5 ns) the receiver
+  // drains the backlog, then waits, and sends go straight to it.
+  constexpr int kItems = 1200;
+  Engine e;
+  Channel<int> ch(e);
+  std::vector<int> got;
+  std::size_t max_pending = 0;
+  int handed_to_waiter = 0;
+  spawn(e, [](Engine& eng, Channel<int>& c, std::vector<int>& out) -> Task<> {
+    for (int i = 0; i < kItems; ++i) {
+      out.push_back(co_await c.recv());
+      co_await eng.delay(2_ns);
+    }
+  }(e, ch, got));
+  spawn(e, [](Engine& eng, Channel<int>& c, std::size_t& most, int& direct) -> Task<> {
+    for (int i = 0; i < kItems; ++i) {
+      if (c.waiting_receivers() > 0) ++direct;
+      c.send(i);
+      most = std::max(most, c.pending());
+      co_await eng.delay((i / 100) % 2 == 0 ? 1_ns : 5_ns);
+    }
+  }(e, ch, max_pending, handed_to_waiter));
+  e.run();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
+  for (int i = 0; i < kItems; ++i) ASSERT_EQ(got[static_cast<std::size_t>(i)], i) << "at " << i;
+  EXPECT_GT(max_pending, 32u) << "the sender never ran far ahead";
+  EXPECT_GT(handed_to_waiter, 100) << "the receiver never waited";
+  EXPECT_EQ(ch.pending(), 0u);
+}
+
+TEST(SyncQueues, ConstructionAllocatesNothing) {
+  // An IKC request's reply doorbell and an uncontended spin-lock never
+  // queue anything: building them must not touch the host heap.
+  Engine e;
+  const std::uint64_t before = heap_allocs();
+  {
+    Channel<int> ch(e);
+    Resource res(e, 4);
+    EXPECT_EQ(ch.pending(), 0u);
+    EXPECT_EQ(res.queue_length(), 0u);
+  }
+  EXPECT_EQ(heap_allocs(), before);
+  // The counter sees the queue's first block once something is queued.
+  Channel<int> ch(e);
+  ch.send(1);
+  EXPECT_GT(heap_allocs(), before);
 }
 
 TEST(Resource, ImmediateWhenAvailable) {

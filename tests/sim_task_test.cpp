@@ -7,6 +7,7 @@
 
 #include "src/common/time.hpp"
 #include "src/sim/engine.hpp"
+#include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 
 namespace pd::sim {
@@ -113,6 +114,42 @@ TEST(Task, ManyConcurrentSpawnsAllComplete) {
   e.run();
   EXPECT_EQ(done, kTasks);
   EXPECT_EQ(e.live_tasks(), 0);
+}
+
+TEST(Task, DetachedFramesTrackedThroughOutOfOrderExitAndTeardown) {
+  // Ten tasks finish in an order unrelated to their spawn order (so the
+  // engine unlinks heads, tails and middles of its detached list), while
+  // three never finish and are still suspended when the engine goes.
+  struct Guard {
+    int& destroyed;
+    ~Guard() { ++destroyed; }
+  };
+  std::vector<int> finished;
+  int destroyed = 0;
+  {
+    Engine e;
+    Latch never(e);
+    for (int i = 0; i < 10; ++i) {
+      spawn(e, [](Engine& eng, int id, std::vector<int>& out) -> Task<> {
+        co_await eng.delay(((id * 7) % 11 + 1) * 1_ns);
+        out.push_back(id);
+      }(e, i, finished));
+      if (i % 4 == 1) {
+        spawn(e, [](Latch& l, int& count) -> Task<> {
+          Guard guard{count};
+          co_await l.wait();
+        }(never, destroyed));
+      }
+    }
+    EXPECT_EQ(e.live_tasks(), 13);
+    e.run_until(4_ns);
+    EXPECT_EQ(e.live_tasks(), 9);
+    e.run();
+    EXPECT_EQ(finished, (std::vector<int>{0, 8, 5, 2, 7, 4, 1, 9, 6, 3}));
+    EXPECT_EQ(e.live_tasks(), 3);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 3) << "the engine must destroy its suspended detached frames";
 }
 
 TEST(Task, VoidTaskAwaitable) {
