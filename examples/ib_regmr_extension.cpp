@@ -78,15 +78,6 @@ class MlxDriver final : public os::CharDevice {
     co_return 0L;
   }
 
-  sim::Task<Result<long>> writev(os::OpenFile&, std::span<const os::IoVec>) override {
-    co_return Errno::enosys;
-  }
-  sim::Task<Result<long>> poll(os::OpenFile&) override { co_return 0L; }
-  sim::Task<Result<mem::PhysAddr>> mmap(os::OpenFile&, std::uint64_t, std::uint64_t) override {
-    co_return Errno::enosys;
-  }
-  sim::Task<Result<long>> read(os::OpenFile&, std::uint64_t) override { co_return 0L; }
-  sim::Task<Result<long>> lseek(os::OpenFile&, long, int) override { co_return 0L; }
   sim::Task<Result<long>> close(os::OpenFile&) override { co_return 0L; }
 
  private:
@@ -160,8 +151,12 @@ int main() {
   engine.run();
 
   auto bytes = linux_kernel.kheap().data(driver.table_image());
-  std::printf("driver's mlx_mr_table.mtt_used (read back via DWARF offset): %u\n",
-              mtt_used.read(bytes.data()));
+  const std::uint32_t used = mtt_used.read(bytes.data());
+  std::printf("driver's mlx_mr_table.mtt_used (read back via DWARF offset): %u\n", used);
+  if (fast_entries == 0 || used != fast_entries) {
+    std::printf("reg_mr did not take the fast path\n");
+    return 1;
+  }
   std::printf("\nThat is the whole recipe: ship debug info, bind, install a fast path.\n");
   return 0;
 }

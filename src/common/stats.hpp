@@ -1,38 +1,12 @@
-// Small statistics helpers used by the profilers and benches.
+// Small statistics helpers used by the IKC queueing summaries and the benches.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 namespace pd {
-
-/// Streaming accumulator: count / sum / min / max / mean / variance
-/// (Welford). Cheap enough to keep one per syscall number per CPU.
-class RunningStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-
-  void merge(const RunningStats& other);
-
- private:
-  std::size_t n_ = 0;
-  double sum_ = 0.0;
-  double m2_ = 0.0;
-  double mean_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Sample container with percentile queries; used for latency distributions
 /// in the micro-benches. Unbounded by default (every sample retained, exact

@@ -99,13 +99,6 @@ sim::Task<Result<long>> DoomDriver::open(os::OpenFile& f) {
   co_return 0L;
 }
 
-sim::Task<Result<long>> DoomDriver::writev(os::OpenFile& f, std::span<const os::IoVec> iov) {
-  // Submission is an ioctl surface on this device; there is no write path.
-  (void)f;
-  (void)iov;
-  co_return Errno::einval;
-}
-
 sim::Task<Result<long>> DoomDriver::submit_batch(os::OpenFile& f, DoomSubmitArgs& args) {
   ++submit_batches_;
   FileCtx* ctx = fctx(f);
@@ -374,33 +367,6 @@ sim::Task<Result<long>> DoomDriver::ioctl(os::OpenFile& f, unsigned long cmd, vo
     default:
       co_return Errno::einval;
   }
-}
-
-sim::Task<Result<long>> DoomDriver::poll(os::OpenFile& f) {
-  (void)f;
-  co_await linux_.engine().delay(linux_.config().driver_poll_cost);
-  co_return 1L;
-}
-
-sim::Task<Result<mem::PhysAddr>> DoomDriver::mmap(os::OpenFile& f, std::uint64_t len,
-                                                  std::uint64_t offset) {
-  (void)f;
-  (void)len;
-  (void)offset;
-  co_return Errno::einval;  // no BAR surface in the model
-}
-
-sim::Task<Result<long>> DoomDriver::read(os::OpenFile& f, std::uint64_t len) {
-  (void)f;
-  (void)len;
-  co_return Errno::einval;
-}
-
-sim::Task<Result<long>> DoomDriver::lseek(os::OpenFile& f, long offset, int whence) {
-  (void)f;
-  (void)offset;
-  (void)whence;
-  co_return Errno::einval;
 }
 
 sim::Task<Result<long>> DoomDriver::close(os::OpenFile& f) {

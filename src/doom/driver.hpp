@@ -46,14 +46,10 @@ class DoomDriver final : public os::CharDevice {
 
   std::string dev_name() const override { return kDeviceName; }
 
+  // Submission is an ioctl surface; writev, mmap (no BAR surface in the
+  // model), read and lseek keep CharDevice's EINVAL.
   sim::Task<Result<long>> open(os::OpenFile& f) override;
-  sim::Task<Result<long>> writev(os::OpenFile& f, std::span<const os::IoVec> iov) override;
   sim::Task<Result<long>> ioctl(os::OpenFile& f, unsigned long cmd, void* arg) override;
-  sim::Task<Result<long>> poll(os::OpenFile& f) override;
-  sim::Task<Result<mem::PhysAddr>> mmap(os::OpenFile& f, std::uint64_t len,
-                                        std::uint64_t offset) override;
-  sim::Task<Result<long>> read(os::OpenFile& f, std::uint64_t len) override;
-  sim::Task<Result<long>> lseek(os::OpenFile& f, long offset, int whence) override;
   sim::Task<Result<long>> close(os::OpenFile& f) override;
 
   /// --- what the PicoDriver needs ----------------------------------------
@@ -73,9 +69,6 @@ class DoomDriver final : public os::CharDevice {
   /// the device retires it, or inline by lost-IRQ recovery. Used by both
   /// the slow path and the LWK fast path.
   void register_completion(std::uint64_t seq, std::vector<os::KernelCallback> callbacks);
-
-  /// Highest fence whose completion chain has been dispatched.
-  std::uint64_t completed_upto() const { return completed_upto_; }
 
   /// Lost-IRQ recovery: compare the device's retire register against the
   /// pending fences and dispatch anything the hardware finished but never

@@ -41,7 +41,6 @@ class ByteCursor {
 
   std::size_t offset() const { return pos_; }
   std::size_t remaining() const { return size_ - pos_; }
-  bool at_end() const { return pos_ >= size_; }
   void seek(std::size_t pos) { pos_ = pos <= size_ ? pos : size_; }
 
   Result<std::uint8_t> read_u8() {

@@ -33,13 +33,6 @@ const std::vector<std::uint8_t>* ModuleBinary::section(const std::string& name) 
   return nullptr;
 }
 
-std::vector<std::string> ModuleBinary::section_names() const {
-  std::vector<std::string> names;
-  names.reserve(sections_.size());
-  for (const auto& s : sections_) names.push_back(s.name);
-  return names;
-}
-
 std::vector<std::uint8_t> ModuleBinary::serialize() const {
   std::vector<std::uint8_t> out;
   out.insert(out.end(), kMagic, kMagic + sizeof kMagic);

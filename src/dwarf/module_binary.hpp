@@ -21,7 +21,6 @@ class ModuleBinary {
  public:
   void set_section(const std::string& name, std::vector<std::uint8_t> bytes);
   const std::vector<std::uint8_t>* section(const std::string& name) const;
-  std::vector<std::string> section_names() const;
 
   /// Serialize to the on-disk format (magic + section table).
   std::vector<std::uint8_t> serialize() const;

@@ -202,7 +202,6 @@ sim::Task<Result<long>> HfiDriver::writev(os::OpenFile& f, std::span<const os::I
     self->linux_.raise_irq(std::move(chain));
   };
 
-  ++sdma_requests_;
   Status s = engine.submit(std::move(req));
   assert(s.ok());
   (void)s;
@@ -323,12 +322,6 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
     default:
       co_return Errno::einval;
   }
-}
-
-sim::Task<Result<long>> HfiDriver::poll(os::OpenFile& f) {
-  (void)f;
-  co_await linux_.engine().delay(linux_.config().driver_poll_cost);
-  co_return 1L;
 }
 
 sim::Task<Result<mem::PhysAddr>> HfiDriver::mmap(os::OpenFile& f, std::uint64_t len,

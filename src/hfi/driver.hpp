@@ -41,7 +41,6 @@ class HfiDriver final : public os::CharDevice {
   sim::Task<Result<long>> open(os::OpenFile& f) override;
   sim::Task<Result<long>> writev(os::OpenFile& f, std::span<const os::IoVec> iov) override;
   sim::Task<Result<long>> ioctl(os::OpenFile& f, unsigned long cmd, void* arg) override;
-  sim::Task<Result<long>> poll(os::OpenFile& f) override;
   sim::Task<Result<mem::PhysAddr>> mmap(os::OpenFile& f, std::uint64_t len,
                                         std::uint64_t offset) override;
   sim::Task<Result<long>> read(os::OpenFile& f, std::uint64_t len) override;
@@ -86,7 +85,6 @@ class HfiDriver final : public os::CharDevice {
 
   /// --- instrumentation (drives the §4.3 descriptor-size verification) ----
   std::uint64_t writev_calls() const { return writev_calls_; }
-  std::uint64_t sdma_requests() const { return sdma_requests_; }
   std::uint64_t tid_entries_programmed() const { return tid_programs_; }
 
   /// Simulated text address of the driver's completion callback (inside
@@ -120,7 +118,6 @@ class HfiDriver final : public os::CharDevice {
   std::uint32_t expected_entries_per_ctxt_;
 
   std::uint64_t writev_calls_ = 0;
-  std::uint64_t sdma_requests_ = 0;
   std::uint64_t tid_programs_ = 0;
 };
 

@@ -21,11 +21,4 @@ int NumaTopology::socket_of(int cpu) const {
   return socket >= sockets_ ? sockets_ - 1 : socket;
 }
 
-std::vector<int> NumaTopology::cpus_of(int socket) const {
-  std::vector<int> cpus;
-  for (int cpu = 0; cpu < total_cpus_; ++cpu)
-    if (socket_of(cpu) == socket) cpus.push_back(cpu);
-  return cpus;
-}
-
 }  // namespace pd::mem

@@ -13,7 +13,6 @@
 // socket; PhysMap::alloc_near prefers a socket's home domain.
 #pragma once
 
-#include <vector>
 
 namespace pd::mem {
 
@@ -33,9 +32,6 @@ class NumaTopology {
   /// Socket owning `cpu`. CPUs outside [0, total_cpus) clamp to the edge
   /// sockets so foreign ids (e.g. hot-unplugged cores) stay well-defined.
   int socket_of(int cpu) const;
-
-  /// CPU ids belonging to `socket`, ascending.
-  std::vector<int> cpus_of(int socket) const;
 
  private:
   NumaTopology(int total_cpus, int sockets);

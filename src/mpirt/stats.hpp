@@ -34,12 +34,6 @@ class MpiStats {
   void set_solve(Dur solve) { solve_ = solve; }
   Dur solve() const { return solve_ > 0 ? solve_ : runtime_; }
 
-  Dur total_mpi_time() const {
-    Dur t = 0;
-    for (const auto& [name, e] : calls_) t += e.total;
-    return t;
-  }
-
   struct Entry {
     Dur total = 0;
     std::uint64_t count = 0;

@@ -108,11 +108,6 @@ Dur MpiWorld::max_solve() const {
   return worst;
 }
 
-void MpiWorld::shm_complete(MpiReq& req) {
-  req->complete = true;
-  req->done->trigger();
-}
-
 void MpiWorld::shm_send(int src, int dst, int tag, std::uint64_t bytes) {
   // Copy through the shared-memory segment, then match at the destination.
   sim::spawn(cluster_.engine(), [](MpiWorld* world, int s, int d, int t,
@@ -127,7 +122,7 @@ void MpiWorld::shm_send(int src, int dst, int tag, std::uint64_t bytes) {
     if (it != inbox.posted.end()) {
       MpiReq req = it->req;
       inbox.posted.erase(it);
-      shm_complete(req);
+      req->done.trigger();
     } else {
       inbox.unexpected.push_back(ShmPending{s, t, len});
     }
@@ -140,7 +135,7 @@ void MpiWorld::shm_post(int dst, MpiReq req, int src, int tag) {
                          [&](const ShmPending& p) { return p.src == src && p.tag == tag; });
   if (it != inbox.unexpected.end()) {
     inbox.unexpected.erase(it);
-    shm_complete(req);
+    req->done.trigger();
     return;
   }
   inbox.posted.push_back(ShmPosted{std::move(req), src, tag});
@@ -175,14 +170,12 @@ int Rank::coll_tag(int round) const {
 MpiReq Rank::post_send(int dst, int tag, std::uint64_t bytes) {
   ++sent_msgs_;
   sent_bytes_ += bytes;
-  auto req = std::make_shared<MpiReqState>();
+  auto req = std::make_shared<MpiReqState>(world_.cluster_.engine());
   if (world_.node_of(dst) == node()) {
-    req->shm = true;
-    req->done = std::make_unique<sim::Latch>(world_.cluster_.engine());
     world_.shm_send(id_, dst, tag, bytes);
     // Shared-memory sends complete locally once copied; model them as
     // immediately complete for the sender.
-    MpiWorld::shm_complete(req);
+    req->done.trigger();
     return req;
   }
   req->psm = ep_->isend(psm::EndpointId{world_.node_of(dst), world_.ctxt_of(dst)},
@@ -193,10 +186,8 @@ MpiReq Rank::post_send(int dst, int tag, std::uint64_t bytes) {
 MpiReq Rank::post_recv(int src, int tag, std::uint64_t bytes) {
   ++recvd_msgs_;
   recvd_bytes_ += bytes;
-  auto req = std::make_shared<MpiReqState>();
+  auto req = std::make_shared<MpiReqState>(world_.cluster_.engine());
   if (world_.node_of(src) == node()) {
-    req->shm = true;
-    req->done = std::make_unique<sim::Latch>(world_.cluster_.engine());
     world_.shm_post(id_, req, src, tag);
     return req;
   }
@@ -206,8 +197,8 @@ MpiReq Rank::post_recv(int src, int tag, std::uint64_t bytes) {
 }
 
 sim::Task<> Rank::await_req(MpiReq req) {
-  if (req->shm) {
-    if (!req->complete) co_await req->done->wait();
+  if (req->psm == nullptr) {
+    co_await req->done.wait();
     co_return;
   }
   co_await ep_->wait(req->psm);

@@ -72,12 +72,13 @@ struct WorldOptions {
 
 class MpiWorld;
 
-/// One nonblocking-operation handle.
+/// One nonblocking-operation handle: a PSM request on the remote
+/// transport; a null `psm` marks a shared-memory one, completed by `done`.
 struct MpiReqState {
-  bool shm = false;
-  psm::PsmHandle psm;                  // remote transport
-  bool complete = false;               // shm transport
-  std::unique_ptr<sim::Latch> done;    // shm transport
+  explicit MpiReqState(sim::Engine& engine) : done(engine) {}
+
+  psm::PsmHandle psm;
+  sim::Latch done;  // shm transport: triggered once complete
 };
 using MpiReq = std::shared_ptr<MpiReqState>;
 
@@ -267,7 +268,6 @@ class MpiWorld {
 
   void shm_send(int src, int dst, int tag, std::uint64_t bytes);
   void shm_post(int dst, MpiReq req, int src, int tag);
-  static void shm_complete(MpiReq& req);
 
   Cluster& cluster_;
   WorldOptions opts_;

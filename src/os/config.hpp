@@ -55,8 +55,6 @@ struct Config {
   int cores_per_node = 68;
   int app_cores = 64;            // cores handed to the application
   int linux_service_cpus = 4;    // cores kept for Linux daemons/OS work
-  std::uint64_t mcdram_bytes = 16ull << 30;
-  std::uint64_t ddr_bytes = 96ull << 30;
   int numa_per_kind = 4;         // SNC-4
 
   // --- syscall & offload costs ------------------------------------------

@@ -75,7 +75,6 @@ class PartitionController {
   /// run dry.
   void start_monitor();
   void stop_monitor() { monitoring_ = false; }
-  bool monitoring() const { return monitoring_; }
 
   int service_cpu_count() const { return ihk_.linux_kernel().service_cpu_count(); }
   /// The grow ceiling actually in force (resolves the 0 = boot-shape knob).

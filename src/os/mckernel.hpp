@@ -42,7 +42,6 @@ class McKernel : public Kernel {
   /// --- PicoDriver fast-path registry -------------------------------------
   void register_fastpath(CharDevice& dev, FastPathOps ops);
   const FastPathOps* fastpath(const CharDevice& dev) const;
-  bool has_fastpath(const CharDevice& dev) const { return fastpath(dev) != nullptr; }
 
   /// --- §3.3 pieces --------------------------------------------------------
   std::string spinlock_abi() const { return "ticket-spinlock-x86_64-v2"; }

@@ -77,31 +77,4 @@ sim::Task<Result<long>> ProcJobsFile::close(OpenFile& f) {
   co_return 0L;
 }
 
-sim::Task<Result<long>> ProcJobsFile::writev(OpenFile& f, std::span<const IoVec> iov) {
-  (void)f;
-  (void)iov;
-  co_return Errno::einval;  // read-only
-}
-
-sim::Task<Result<long>> ProcJobsFile::ioctl(OpenFile& f, unsigned long cmd, void* arg) {
-  (void)f;
-  (void)cmd;
-  (void)arg;
-  co_return Errno::einval;
-}
-
-sim::Task<Result<long>> ProcJobsFile::poll(OpenFile& f) {
-  (void)f;
-  co_await linux_.engine().delay(from_ns(300));
-  co_return 1L;  // always readable
-}
-
-sim::Task<Result<mem::PhysAddr>> ProcJobsFile::mmap(OpenFile& f, std::uint64_t len,
-                                                    std::uint64_t offset) {
-  (void)f;
-  (void)len;
-  (void)offset;
-  co_return Errno::einval;
-}
-
 }  // namespace pd::os

@@ -26,12 +26,8 @@ class ProcJobsFile final : public CharDevice {
 
   std::string dev_name() const override { return "/proc/pd/jobs"; }
 
+  // Read-only: writev, ioctl and mmap keep CharDevice's EINVAL.
   sim::Task<Result<long>> open(OpenFile& f) override;
-  sim::Task<Result<long>> writev(OpenFile& f, std::span<const IoVec> iov) override;
-  sim::Task<Result<long>> ioctl(OpenFile& f, unsigned long cmd, void* arg) override;
-  sim::Task<Result<long>> poll(OpenFile& f) override;
-  sim::Task<Result<mem::PhysAddr>> mmap(OpenFile& f, std::uint64_t len,
-                                        std::uint64_t offset) override;
   sim::Task<Result<long>> read(OpenFile& f, std::uint64_t len) override;
   sim::Task<Result<long>> lseek(OpenFile& f, long offset, int whence) override;
   sim::Task<Result<long>> close(OpenFile& f) override;

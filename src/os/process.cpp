@@ -6,6 +6,15 @@ namespace pd::os {
 
 namespace {
 constexpr mem::VirtAddr kUserMmapBase = 0x0000'2AAA'0000'0000ull;
+
+/// The driver's mmap with its address as the `long` every device call
+/// returns (what an offload carries back).
+sim::Task<Result<long>> mmap_as_long(CharDevice& dev, OpenFile& f, std::uint64_t len,
+                                     std::uint64_t offset) {
+  Result<mem::PhysAddr> pa = co_await dev.mmap(f, len, offset);
+  if (!pa.ok()) co_return pa.error();
+  co_return static_cast<long>(*pa);
+}
 }  // namespace
 
 Process::Process(LinuxKernel& kernel, mem::PhysMap& phys, int node, int ctxt, std::uint64_t seed)
@@ -29,11 +38,36 @@ void Process::account(const char* name, Time start) {
   kernel().profiler().record(name, engine().now() - start);
 }
 
-sim::Task<Result<int>> Process::open(const std::string& dev_name) {
+template <typename Op, typename Fast>
+sim::Task<Result<long>> Process::device_call(const char* name, int fd, ikc::Priority prio,
+                                             Op op, Fast fast) {
   const Time t0 = engine().now();
+  OpenFile* f = file(fd);
+  if (f == nullptr) {
+    account(name, t0);
+    co_return Errno::ebadf;
+  }
+  Result<long> r = Errno::enosys;
+  const FastPathOps* fp = on_lwk() ? mck_->fastpath(*f->dev) : nullptr;
+  FastCall fast_call = fp != nullptr ? fast(*fp, *f) : std::nullopt;
+  if (!on_lwk()) {
+    co_await engine().delay(cfg().syscall_entry);
+    r = co_await op(*f->dev, *f);
+  } else if (fast_call) {
+    co_await engine().delay(cfg().lwk_syscall_entry);
+    r = co_await std::move(*fast_call);
+  } else {
+    // The proxy runs the Linux driver's op on a service CPU.
+    r = co_await mck_->ihk().offload([&] { return op(*f->dev, *f); }, prio, ctxt_, job_);
+  }
+  account(name, t0);
+  co_return r;
+}
+
+sim::Task<Result<int>> Process::open(const std::string& dev_name) {
   CharDevice* dev = linux_kernel().device(dev_name);
   if (dev == nullptr) {
-    account("open", t0);
+    account("open", engine().now());
     co_return Errno::enoent;
   }
   const int fd = next_fd_++;
@@ -43,18 +77,10 @@ sim::Task<Result<int>> Process::open(const std::string& dev_name) {
   f.dev = dev;
   f.ctxt = ctxt_;  // desired hardware receive context (assignment request)
 
-  Result<long> r = Errno::enosys;
-  if (!on_lwk()) {
-    co_await engine().delay(cfg().syscall_entry);
-    r = co_await dev->open(f);
-  } else {
-    // Device open is never fast-pathed: the proxy calls the Linux driver,
-    // which initializes all the internal state the fast path later reuses.
-    r = co_await mck_->ihk().offload(
-        [&]() -> sim::Task<Result<long>> { co_return co_await dev->open(f); },
-        ikc::Priority::control, ctxt_, job_);
-  }
-  account("open", t0);
+  // Device open is never fast-pathed: the proxy calls the Linux driver,
+  // which initializes all the internal state the fast path later reuses.
+  Result<long> r = co_await device_call("open", fd, ikc::Priority::control,
+                                        [](CharDevice& d, OpenFile& file) { return d.open(file); });
   if (!r.ok()) {
     files_.erase(fd);
     co_return r.error();
@@ -69,148 +95,48 @@ sim::Task<Result<long>> Process::writev(int fd, std::vector<IoVec> iov) {
 }
 
 sim::Task<Result<long>> Process::writev(int fd, std::span<const IoVec> iov) {
-  const Time t0 = engine().now();
-  OpenFile* f = file(fd);
-  if (f == nullptr) {
-    account("writev", t0);
-    co_return Errno::ebadf;
-  }
-  Result<long> r = Errno::enosys;
-  if (!on_lwk()) {
-    co_await engine().delay(cfg().syscall_entry);
-    r = co_await f->dev->writev(*f, iov);
-  } else if (const FastPathOps* fp = mck_->fastpath(*f->dev); fp != nullptr && fp->writev) {
-    co_await engine().delay(cfg().lwk_syscall_entry);
-    r = co_await fp->writev(*f, iov);
-  } else {
-    r = co_await mck_->ihk().offload(
-        [&]() -> sim::Task<Result<long>> { co_return co_await f->dev->writev(*f, iov); },
-        ikc::Priority::bulk, ctxt_, job_);
-  }
-  account("writev", t0);
-  co_return r;
+  return device_call(
+      "writev", fd, ikc::Priority::bulk,
+      [iov](CharDevice& d, OpenFile& f) { return d.writev(f, iov); },
+      [iov](const FastPathOps& fp, OpenFile& f) -> FastCall {
+        if (!fp.writev) return std::nullopt;
+        return fp.writev(f, iov);
+      });
 }
 
 sim::Task<Result<long>> Process::ioctl(int fd, unsigned long cmd, void* arg) {
-  const Time t0 = engine().now();
-  OpenFile* f = file(fd);
-  if (f == nullptr) {
-    account("ioctl", t0);
-    co_return Errno::ebadf;
-  }
-  Result<long> r = Errno::enosys;
-  const FastPathOps* fp = on_lwk() ? mck_->fastpath(*f->dev) : nullptr;
-  if (!on_lwk()) {
-    co_await engine().delay(cfg().syscall_entry);
-    r = co_await f->dev->ioctl(*f, cmd, arg);
-  } else if (fp != nullptr && fp->ioctl && fp->ioctl_handles && fp->ioctl_handles(cmd)) {
-    // Only the TID registration commands are ported (3 of ~a dozen).
-    co_await engine().delay(cfg().lwk_syscall_entry);
-    r = co_await fp->ioctl(*f, cmd, arg);
-  } else {
-    r = co_await mck_->ihk().offload(
-        [&]() -> sim::Task<Result<long>> { co_return co_await f->dev->ioctl(*f, cmd, arg); },
-        ikc::Priority::control, ctxt_, job_);
-  }
-  account("ioctl", t0);
-  co_return r;
-}
-
-sim::Task<Result<long>> Process::poll_fd(int fd) {
-  const Time t0 = engine().now();
-  OpenFile* f = file(fd);
-  if (f == nullptr) {
-    account("poll", t0);
-    co_return Errno::ebadf;
-  }
-  Result<long> r = Errno::enosys;
-  if (!on_lwk()) {
-    co_await engine().delay(cfg().syscall_entry);
-    r = co_await f->dev->poll(*f);
-  } else {
-    r = co_await mck_->ihk().offload(
-        [&]() -> sim::Task<Result<long>> { co_return co_await f->dev->poll(*f); },
-        ikc::Priority::control, ctxt_, job_);
-  }
-  account("poll", t0);
-  co_return r;
+  return device_call(
+      "ioctl", fd, ikc::Priority::control,
+      [cmd, arg](CharDevice& d, OpenFile& f) { return d.ioctl(f, cmd, arg); },
+      [cmd, arg](const FastPathOps& fp, OpenFile& f) -> FastCall {
+        // Only the TID registration commands are ported (3 of ~a dozen).
+        if (!fp.ioctl || !fp.ioctl_handles || !fp.ioctl_handles(cmd)) return std::nullopt;
+        return fp.ioctl(f, cmd, arg);
+      });
 }
 
 sim::Task<Result<long>> Process::read_fd(int fd, std::uint64_t len) {
-  const Time t0 = engine().now();
-  OpenFile* f = file(fd);
-  if (f == nullptr) {
-    account("read", t0);
-    co_return Errno::ebadf;
-  }
-  Result<long> r = Errno::enosys;
-  if (!on_lwk()) {
-    co_await engine().delay(cfg().syscall_entry);
-    r = co_await f->dev->read(*f, len);
-  } else {
-    r = co_await mck_->ihk().offload(
-        [&]() -> sim::Task<Result<long>> { co_return co_await f->dev->read(*f, len); },
-        ikc::Priority::bulk, ctxt_, job_);
-  }
-  account("read", t0);
-  co_return r;
+  return device_call("read", fd, ikc::Priority::bulk,
+                     [len](CharDevice& d, OpenFile& f) { return d.read(f, len); });
 }
 
 sim::Task<Result<long>> Process::lseek(int fd, long offset, int whence) {
-  const Time t0 = engine().now();
-  OpenFile* f = file(fd);
-  if (f == nullptr) {
-    account("lseek", t0);
-    co_return Errno::ebadf;
-  }
-  Result<long> r = Errno::enosys;
-  if (!on_lwk()) {
-    co_await engine().delay(cfg().syscall_entry);
-    r = co_await f->dev->lseek(*f, offset, whence);
-  } else {
-    r = co_await mck_->ihk().offload(
-        [&]() -> sim::Task<Result<long>> {
-          co_return co_await f->dev->lseek(*f, offset, whence);
-        },
-        ikc::Priority::control, ctxt_, job_);
-  }
-  account("lseek", t0);
-  co_return r;
+  return device_call(
+      "lseek", fd, ikc::Priority::control,
+      [offset, whence](CharDevice& d, OpenFile& f) { return d.lseek(f, offset, whence); });
 }
 
 sim::Task<Result<mem::VirtAddr>> Process::mmap_dev(int fd, std::uint64_t len,
                                                    std::uint64_t offset) {
-  const Time t0 = engine().now();
-  OpenFile* f = file(fd);
-  if (f == nullptr) {
-    account("mmap", t0);
-    co_return Errno::ebadf;
-  }
-  Result<mem::PhysAddr> pa = Errno::enosys;
-  if (!on_lwk()) {
-    co_await engine().delay(cfg().syscall_entry);
-    pa = co_await f->dev->mmap(*f, len, offset);
-  } else {
-    // Offloaded to Linux for the driver part; the LWK installs the mapping
-    // into its own page tables afterwards (paper's device-mapping path).
-    Result<long> got = co_await mck_->ihk().offload(
-        [&]() -> sim::Task<Result<long>> {
-          auto r = co_await f->dev->mmap(*f, len, offset);
-          if (!r.ok()) co_return r.error();
-          co_return static_cast<long>(*r);
-        },
-        ikc::Priority::control, ctxt_, job_);
-    if (got.ok())
-      pa = static_cast<mem::PhysAddr>(*got);
-    else
-      pa = got.error();
-  }
-  if (!pa.ok()) {
-    account("mmap", t0);
-    co_return pa.error();
-  }
-  auto va = as_->mmap_device(*pa, len, mem::kProtRead | mem::kProtWrite);
-  account("mmap", t0);
+  // The driver part runs on the call's route; the calling kernel installs
+  // the mapping into its own page tables afterwards (on the LWK, the
+  // paper's device-mapping path).
+  Result<long> pa = co_await device_call(
+      "mmap", fd, ikc::Priority::control,
+      [len, offset](CharDevice& d, OpenFile& f) { return mmap_as_long(d, f, len, offset); });
+  if (!pa.ok()) co_return pa.error();
+  auto va = as_->mmap_device(static_cast<mem::PhysAddr>(*pa), len,
+                             mem::kProtRead | mem::kProtWrite);
   if (!va.ok()) co_return va.error();
   co_return *va;
 }
@@ -243,23 +169,9 @@ sim::Task<Result<long>> Process::munmap(mem::VirtAddr addr, std::uint64_t len) {
 }
 
 sim::Task<Result<long>> Process::close_fd(int fd) {
-  const Time t0 = engine().now();
-  OpenFile* f = file(fd);
-  if (f == nullptr) {
-    account("close", t0);
-    co_return Errno::ebadf;
-  }
-  Result<long> r = Errno::enosys;
-  if (!on_lwk()) {
-    co_await engine().delay(cfg().syscall_entry);
-    r = co_await f->dev->close(*f);
-  } else {
-    r = co_await mck_->ihk().offload(
-        [&]() -> sim::Task<Result<long>> { co_return co_await f->dev->close(*f); },
-        ikc::Priority::control, ctxt_, job_);
-  }
+  Result<long> r = co_await device_call("close", fd, ikc::Priority::control,
+                                        [](CharDevice& d, OpenFile& f) { return d.close(f); });
   files_.erase(fd);
-  account("close", t0);
   co_return r;
 }
 

@@ -7,12 +7,12 @@ namespace pd::os {
 std::vector<SyscallProfiler::Row> SyscallProfiler::rows(std::size_t top) const {
   std::vector<Row> out;
   const double total_us = to_us(total_);
-  for (const auto& [name, stats] : calls_) {
+  for (const auto& [name, c] : calls_) {
     Row row;
     row.name = name;
-    row.total_us = stats.sum();
-    row.count = stats.count();
-    row.share = total_us > 0 ? stats.sum() / total_us : 0.0;
+    row.total_us = c.total_us;
+    row.count = c.count;
+    row.share = total_us > 0 ? c.total_us / total_us : 0.0;
     out.push_back(std::move(row));
   }
   std::sort(out.begin(), out.end(),
@@ -24,17 +24,17 @@ std::vector<SyscallProfiler::Row> SyscallProfiler::rows(std::size_t top) const {
 double SyscallProfiler::share_of(std::string_view name) const {
   auto it = calls_.find(name);
   if (it == calls_.end() || total_ == 0) return 0.0;
-  return it->second.sum() / to_us(total_);
+  return it->second.total_us / to_us(total_);
 }
 
 double SyscallProfiler::total_us_of(std::string_view name) const {
   auto it = calls_.find(name);
-  return it == calls_.end() ? 0.0 : it->second.sum();
+  return it == calls_.end() ? 0.0 : it->second.total_us;
 }
 
 std::uint64_t SyscallProfiler::count_of(std::string_view name) const {
   auto it = calls_.find(name);
-  return it == calls_.end() ? 0 : it->second.count();
+  return it == calls_.end() ? 0 : it->second.count;
 }
 
 std::uint64_t SyscallProfiler::counter(std::string_view name) const {
@@ -51,7 +51,11 @@ std::uint64_t SyscallProfiler::sum_counters(std::string_view prefix) const {
 }
 
 void SyscallProfiler::merge(const SyscallProfiler& other) {
-  for (const auto& [name, stats] : other.calls_) slot(calls_, name).merge(stats);
+  for (const auto& [name, c] : other.calls_) {
+    Calls& mine = slot(calls_, name);
+    mine.count += c.count;
+    mine.total_us += c.total_us;
+  }
   for (const auto& [name, n] : other.counters_) slot(counters_, name) += n;
   total_ += other.total_;
 }

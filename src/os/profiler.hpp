@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/stats.hpp"
 #include "src/common/time.hpp"
 
 namespace pd::os {
@@ -21,7 +20,9 @@ namespace pd::os {
 class SyscallProfiler {
  public:
   void record(std::string_view name, Dur kernel_time) {
-    slot(calls_, name).add(to_us(kernel_time));
+    Calls& c = slot(calls_, name);
+    ++c.count;
+    c.total_us += to_us(kernel_time);
     total_ += kernel_time;
   }
 
@@ -60,6 +61,11 @@ class SyscallProfiler {
   }
 
  private:
+  struct Calls {
+    std::size_t count = 0;
+    double total_us = 0;
+  };
+
   /// `map[name]`, allocating the key only when `name` is new.
   template <typename V>
   static V& slot(std::map<std::string, V, std::less<>>& map, std::string_view name) {
@@ -68,7 +74,7 @@ class SyscallProfiler {
     return it->second;
   }
 
-  std::map<std::string, RunningStats, std::less<>> calls_;
+  std::map<std::string, Calls, std::less<>> calls_;
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   Dur total_ = 0;
 };

@@ -2,9 +2,12 @@
 //
 // The Linux kernel model exposes device files through `CharDevice`, whose
 // operations mirror the file_operations the real HFI1 driver registers
-// (open, writev, ioctl, poll, mmap, read, close — paper §2.2.2). Operations
-// are coroutines: they consume simulated CPU time via engine delays and may
-// block on hardware state (ring backpressure).
+// (open, writev, ioctl, mmap, read, lseek, close — paper §2.2.2).
+// Operations are coroutines: they consume simulated CPU time via engine
+// delays and may block on hardware state (ring backpressure). `open` and
+// `close` are the only ones a driver must write; any other op it leaves
+// out fails with EINVAL, as an empty file_operations slot does on Linux.
+// `Process::device_call` decides where each op runs.
 #pragma once
 
 #include <cstdint>
@@ -54,16 +57,21 @@ class CharDevice {
   virtual std::string dev_name() const = 0;
 
   virtual sim::Task<Result<long>> open(OpenFile& f) = 0;
-  virtual sim::Task<Result<long>> writev(OpenFile& f, std::span<const IoVec> iov) = 0;
-  virtual sim::Task<Result<long>> ioctl(OpenFile& f, unsigned long cmd, void* arg) = 0;
-  virtual sim::Task<Result<long>> poll(OpenFile& f) = 0;
+  virtual sim::Task<Result<long>> close(OpenFile& f) = 0;
+
+  virtual sim::Task<Result<long>> writev(OpenFile&, std::span<const IoVec>) {
+    co_return Errno::einval;
+  }
+  virtual sim::Task<Result<long>> ioctl(OpenFile&, unsigned long, void*) {
+    co_return Errno::einval;
+  }
   /// Returns the device-physical address to map (the caller installs it in
   /// the process address space).
-  virtual sim::Task<Result<mem::PhysAddr>> mmap(OpenFile& f, std::uint64_t len,
-                                                std::uint64_t offset) = 0;
-  virtual sim::Task<Result<long>> read(OpenFile& f, std::uint64_t len) = 0;
-  virtual sim::Task<Result<long>> lseek(OpenFile& f, long offset, int whence) = 0;
-  virtual sim::Task<Result<long>> close(OpenFile& f) = 0;
+  virtual sim::Task<Result<mem::PhysAddr>> mmap(OpenFile&, std::uint64_t, std::uint64_t) {
+    co_return Errno::einval;
+  }
+  virtual sim::Task<Result<long>> read(OpenFile&, std::uint64_t) { co_return Errno::einval; }
+  virtual sim::Task<Result<long>> lseek(OpenFile&, long, int) { co_return Errno::einval; }
 };
 
 }  // namespace pd::os

@@ -110,7 +110,6 @@ void FastPathPort::note_cache_outcome(mem::ExtentCache::Outcome outcome) {
       // A cold miss that pushed out the lowest-value (small/transient)
       // entry; counted as a miss plus an eviction event.
       ++cache_misses_;
-      ++cache_small_evictions_;
       mck_.profiler().bump("pico.extent_cache.miss");
       mck_.profiler().bump("pico.extent_cache.evicted_small");
       break;

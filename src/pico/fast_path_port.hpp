@@ -71,14 +71,12 @@ class FastPathPort {
   /// --- shared instrumentation (same names on every device) ---------------
   std::uint64_t fallbacks() const { return fallbacks_; }
   std::uint64_t ring_full_fallbacks() const { return ring_full_fallbacks_; }
-  std::uint64_t remote_frees_drained() const { return drained_total_; }
   std::uint64_t extent_cache_hits() const { return cache_hits_; }
   std::uint64_t extent_cache_misses() const { return cache_misses_; }
   /// Always 0: a cached range is re-walked only once it is unmapped, and
   /// that walk faults. Kept for readers of the older per-layer metrics.
   std::uint64_t extent_cache_range_invalidations() const { return 0; }
   std::uint64_t extent_cache_generation_overflows() const { return 0; }
-  std::uint64_t extent_cache_small_evictions() const { return cache_small_evictions_; }
   /// Whole file caches dropped to keep a process inside
   /// `Config::pico_extent_quota_files` (own-LRU only; see extent_cache_for).
   std::uint64_t extent_cache_file_quota_evictions() const {
@@ -115,7 +113,7 @@ class FastPathPort {
 
   /// Scheduler-tick housekeeping piggybacked on fast-path entry: reclaim
   /// blocks the Linux IRQ side queued for our cores.
-  void piggyback_drain() { drained_total_ += mck_.drain_remote_frees(); }
+  void piggyback_drain() { mck_.drain_remote_frees(); }
 
   int lwk_cpu_for(const os::Process& proc) const;
 
@@ -154,10 +152,8 @@ class FastPathPort {
 
   std::uint64_t fallbacks_ = 0;
   std::uint64_t ring_full_fallbacks_ = 0;
-  std::uint64_t drained_total_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_small_evictions_ = 0;
   std::uint64_t cache_file_quota_evictions_ = 0;
   std::uint64_t cache_quota_skip_pinned_ = 0;
 };

@@ -14,13 +14,6 @@ using namespace pd::time_literals;
 
 namespace {
 constexpr std::uint64_t kPoisonTag = ~std::uint64_t{0};
-
-PsmHandle make_request(sim::Engine& engine, PsmRequest::Kind kind) {
-  auto h = std::make_shared<PsmRequest>();
-  h->kind = kind;
-  h->done = std::make_unique<sim::Latch>(engine);
-  return h;
-}
 }  // namespace
 
 Endpoint::Endpoint(os::Process& proc, hw::HfiDevice& local_dev, pico::HfiPicoDriver* pico)
@@ -28,9 +21,8 @@ Endpoint::Endpoint(os::Process& proc, hw::HfiDevice& local_dev, pico::HfiPicoDri
       dev_(local_dev),
       pico_(pico),
       engine_(proc.kernel().engine()),
-      cfg_(proc.kernel().config()) {
-  stopped_ = std::make_unique<sim::Latch>(engine_);
-}
+      cfg_(proc.kernel().config()),
+      stopped_(engine_) {}
 
 Endpoint::~Endpoint() = default;
 
@@ -84,7 +76,7 @@ sim::Task<Status> Endpoint::finalize() {
     poison.kind = hw::WireKind::ctrl;
     poison.match_bits = kPoisonTag;
     rx_->send(poison);
-    co_await stopped_->wait();
+    co_await stopped_.wait();
   }
   if (fd_ >= 0) {
     (void)co_await proc_.close_fd(fd_);
@@ -95,7 +87,7 @@ sim::Task<Status> Endpoint::finalize() {
 
 PsmHandle Endpoint::isend(EndpointId dst, std::uint64_t tag, std::uint64_t bytes,
                           mem::VirtAddr buf) {
-  PsmHandle h = make_request(engine_, PsmRequest::Kind::send);
+  auto h = std::make_shared<PsmRequest>(engine_, PsmRequest::Kind::send);
   h->tag = tag;
   h->bytes = bytes;
   h->buf = buf;
@@ -107,7 +99,7 @@ PsmHandle Endpoint::isend(EndpointId dst, std::uint64_t tag, std::uint64_t bytes
 
 PsmHandle Endpoint::irecv(EndpointId src, std::uint64_t tag, std::uint64_t bytes,
                           mem::VirtAddr buf) {
-  PsmHandle h = make_request(engine_, PsmRequest::Kind::recv);
+  auto h = std::make_shared<PsmRequest>(engine_, PsmRequest::Kind::recv);
   h->tag = tag;
   h->bytes = bytes;
   h->buf = buf;
@@ -132,19 +124,16 @@ PsmHandle Endpoint::irecv(EndpointId src, std::uint64_t tag, std::uint64_t bytes
 }
 
 sim::Task<> Endpoint::wait(PsmHandle h) {
-  if (!h->complete) {
+  if (!h->done.triggered()) {
     // The real MPI progress path visits the kernel while waiting; one
     // nanosleep per wait keeps the Figure-8/9 profile honest without
     // busy-spinning the event queue.
     co_await proc_.nanosleep(cfg_.psm_wait_sleep);
-    if (!h->complete) co_await h->done->wait();
+    co_await h->done.wait();
   }
 }
 
-void Endpoint::complete(PsmHandle& h) {
-  h->complete = true;
-  h->done->trigger();
-}
+void Endpoint::complete(PsmHandle& h) { h->done.trigger(); }
 
 void Endpoint::deliver_eager(PsmHandle recv, const hw::RxEvent& ev) {
   // Copy-out from the eager ring on the receiving CPU.
@@ -415,7 +404,7 @@ sim::Task<> Endpoint::progress_loop() {
         break;
     }
   }
-  stopped_->trigger();
+  stopped_.trigger();
 }
 
 }  // namespace pd::psm

@@ -38,14 +38,15 @@ struct EndpointId {
 /// One outstanding matched-queue operation.
 struct PsmRequest {
   enum class Kind { send, recv };
-  Kind kind = Kind::send;
+  PsmRequest(sim::Engine& engine, Kind k) : kind(k), done(engine) {}
+
+  Kind kind;
   std::uint64_t tag = 0;
   std::uint64_t bytes = 0;
   mem::VirtAddr buf = 0;
   EndpointId peer;
 
-  bool complete = false;
-  std::unique_ptr<sim::Latch> done;
+  sim::Latch done;  // triggered once the request completes
 
   // Send-side rendezvous state.
   std::uint64_t msg_id = 0;
@@ -117,7 +118,7 @@ class Endpoint {
   int fd_ = -1;
   bool running_ = false;
   sim::Channel<hw::RxEvent>* rx_ = nullptr;
-  std::unique_ptr<sim::Latch> stopped_;
+  sim::Latch stopped_;
 
   std::uint64_t next_msg_id_ = 1;
   std::list<PsmHandle> posted_recvs_;

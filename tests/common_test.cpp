@@ -117,32 +117,6 @@ TEST(Rng, ForkDecorrelates) {
   EXPECT_EQ(seen.size(), 64u);
 }
 
-TEST(RunningStats, Basics) {
-  RunningStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 10; ++i) {
-    a.add(i);
-    all.add(i);
-  }
-  for (int i = 10; i < 25; ++i) {
-    b.add(i * 1.5);
-    all.add(i * 1.5);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(Samples, Percentile) {
   Samples s;
   for (int i = 1; i <= 100; ++i) s.add(i);

@@ -1,9 +1,14 @@
 // Unit tests for the OS layer: noise model, syscall profiler, IRQ
-// routing, IHK offload queueing/costs, and Process memory syscalls.
+// routing, IHK offload queueing/costs, Process memory syscalls and the
+// route each device-file syscall takes.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/common/units.hpp"
 #include "src/os/ihk.hpp"
@@ -282,16 +287,35 @@ TEST(Process, HugeMmapFailsBeforeChargingPerPageCost) {
 
 TEST(Process, BadFdReturnsEbadf) {
   ProcFixture f;
-  Process proc(f.linux_kernel, f.phys, 0, 0, 5);
-  sim::spawn(f.engine, [](Process& p) -> sim::Task<> {
-    auto w = co_await p.writev(42, std::vector<os::IoVec>{});
-    EXPECT_EQ(w.error(), Errno::ebadf);
-    auto i = co_await p.ioctl(42, 1, nullptr);
-    EXPECT_EQ(i.error(), Errno::ebadf);
-    auto c = co_await p.close_fd(42);
-    EXPECT_EQ(c.error(), Errno::ebadf);
-  }(proc));
+  Process lnx(f.linux_kernel, f.phys, 0, 0, 5);
+  Process lwk(f.mck, f.phys, 0, 1, 6);
+  for (Process* proc : {&lnx, &lwk}) {
+    sim::spawn(f.engine, [](Process& p) -> sim::Task<> {
+      auto w = co_await p.writev(42, std::vector<os::IoVec>{});
+      EXPECT_EQ(w.error(), Errno::ebadf);
+      auto i = co_await p.ioctl(42, 1, nullptr);
+      EXPECT_EQ(i.error(), Errno::ebadf);
+      auto r = co_await p.read_fd(42, 64);
+      EXPECT_EQ(r.error(), Errno::ebadf);
+      auto s = co_await p.lseek(42, 0, 0);
+      EXPECT_EQ(s.error(), Errno::ebadf);
+      auto m = co_await p.mmap_dev(42, 4096, 0);
+      EXPECT_EQ(m.error(), Errno::ebadf);
+      auto c = co_await p.close_fd(42);
+      EXPECT_EQ(c.error(), Errno::ebadf);
+    }(*proc));
+  }
   f.engine.run();
+  // Each EBADF is recorded once under its call's name, at zero duration,
+  // and nothing reached the proxy.
+  for (Process* proc : {&lnx, &lwk}) {
+    const SyscallProfiler& prof = proc->kernel().profiler();
+    for (const char* name : {"writev", "ioctl", "read", "lseek", "mmap", "close"}) {
+      EXPECT_EQ(prof.count_of(name), 1u) << name;
+      EXPECT_EQ(prof.total_us_of(name), 0.0) << name;
+    }
+  }
+  EXPECT_EQ(f.ihk.offload_count(), 0u);
 }
 
 TEST(Process, OpenUnknownDeviceFails) {
@@ -302,6 +326,193 @@ TEST(Process, OpenUnknownDeviceFails) {
     EXPECT_EQ(fd.error(), Errno::enoent);
   }(proc));
   f.engine.run();
+}
+
+// --- Device-call routes ---------------------------------------------------
+
+constexpr unsigned long kPortedCmd = 0x10;  // the one ioctl the fast path covers
+constexpr unsigned long kOtherCmd = 0x11;
+constexpr mem::PhysAddr kProbeBar = 0x0000'00F0'0000'0000ull;
+
+using Counts = std::map<std::string, std::uint64_t>;
+
+/// What one pass of call_every_op saw.
+struct RouteTrace {
+  std::vector<std::uint64_t> offloads;  // per call, in call order
+  Counts driver;                        // driver ops run (natively or by the proxy)
+  Counts port;                          // fast-path ops run on the LWK
+  Counts records;                       // profiler records per call name
+};
+
+/// A device implementing every file op; each run lands in the trace.
+class RouteProbe final : public CharDevice {
+ public:
+  RouteProbe(LinuxKernel& linux_kernel, RouteTrace& trace) : trace_(trace) {
+    linux_kernel.register_device(*this);
+  }
+
+  std::string dev_name() const override { return "/dev/route_probe"; }
+
+  sim::Task<Result<long>> open(OpenFile&) override { co_return ran("open"); }
+  sim::Task<Result<long>> close(OpenFile& f) override {
+    // The fd stays open until the driver's close returns.
+    EXPECT_EQ(f.proc->file(f.fd), &f);
+    co_return ran("close");
+  }
+  sim::Task<Result<long>> writev(OpenFile&, std::span<const IoVec>) override {
+    co_return ran("writev");
+  }
+  sim::Task<Result<long>> ioctl(OpenFile&, unsigned long, void*) override {
+    co_return ran("ioctl");
+  }
+  sim::Task<Result<mem::PhysAddr>> mmap(OpenFile&, std::uint64_t, std::uint64_t) override {
+    ran("mmap");
+    co_return kProbeBar;
+  }
+  sim::Task<Result<long>> read(OpenFile&, std::uint64_t) override { co_return ran("read"); }
+  sim::Task<Result<long>> lseek(OpenFile&, long, int) override { co_return ran("lseek"); }
+
+ private:
+  long ran(const char* op) {
+    ++trace_.driver[op];
+    return 0;
+  }
+
+  RouteTrace& trace_;
+};
+
+sim::Task<Result<long>> port_op(RouteTrace& trace, const char* op) {
+  ++trace.port[op];
+  co_return 0L;
+}
+
+/// RouteProbe's LWK fast path: writev and kPortedCmd.
+FastPathOps probe_fast_path(RouteTrace& trace) {
+  FastPathOps ops;
+  ops.writev = [&trace](OpenFile&, std::span<const IoVec>) { return port_op(trace, "writev"); };
+  ops.ioctl = [&trace](OpenFile&, unsigned long, void*) { return port_op(trace, "ioctl"); };
+  ops.ioctl_handles = [](unsigned long cmd) { return cmd == kPortedCmd; };
+  return ops;
+}
+
+/// Makes one of each device call on `p` — open, writev, ioctl(kPortedCmd),
+/// ioctl(kOtherCmd), mmap, read, lseek, close — and notes how many IKC
+/// offloads each one made.
+sim::Task<> call_every_op(Process& p, const Ihk& ihk, std::vector<std::uint64_t>& offloads) {
+  std::uint64_t seen = ihk.offload_count();
+  auto note = [&] {
+    offloads.push_back(ihk.offload_count() - seen);
+    seen = ihk.offload_count();
+  };
+  auto fd = co_await p.open("/dev/route_probe");
+  note();
+  CO_ASSERT_TRUE(fd.ok());
+  const IoVec iov{0x1000, 64};
+  auto w = co_await p.writev(*fd, std::span<const IoVec>(&iov, 1));
+  note();
+  EXPECT_TRUE(w.ok());
+  auto ported = co_await p.ioctl(*fd, kPortedCmd, nullptr);
+  note();
+  EXPECT_TRUE(ported.ok());
+  auto other = co_await p.ioctl(*fd, kOtherCmd, nullptr);
+  note();
+  EXPECT_TRUE(other.ok());
+  auto va = co_await p.mmap_dev(*fd, 4096, 0);
+  note();
+  CO_ASSERT_TRUE(va.ok());
+  // The caller's kernel installed the mapping once the driver returned.
+  EXPECT_EQ(p.as().translate(*va)->pa, kProbeBar);
+  auto r = co_await p.read_fd(*fd, 64);
+  note();
+  EXPECT_TRUE(r.ok());
+  auto s = co_await p.lseek(*fd, 0, 0);
+  note();
+  EXPECT_TRUE(s.ok());
+  auto c = co_await p.close_fd(*fd);
+  note();
+  EXPECT_TRUE(c.ok());
+  EXPECT_EQ(p.file(*fd), nullptr);
+}
+
+RouteTrace trace_every_op(bool on_lwk, bool register_fast_path) {
+  ProcFixture f;
+  RouteTrace trace;
+  RouteProbe dev(f.linux_kernel, trace);
+  if (register_fast_path) f.mck.register_fastpath(dev, probe_fast_path(trace));
+  auto proc = on_lwk ? std::make_unique<Process>(f.mck, f.phys, 0, 0, 41)
+                     : std::make_unique<Process>(f.linux_kernel, f.phys, 0, 0, 41);
+  sim::spawn(f.engine, call_every_op(*proc, f.ihk, trace.offloads));
+  f.engine.run();
+  for (const char* name : {"open", "writev", "ioctl", "mmap", "read", "lseek", "close"})
+    trace.records[name] = proc->kernel().profiler().count_of(name);
+  return trace;
+}
+
+TEST(Process, DeviceCallsTakeTheirRoute) {
+  // call_every_op's calls by name (two ioctls).
+  const Counts every_call = {{"open", 1}, {"writev", 1}, {"ioctl", 2}, {"mmap", 1},
+                             {"read", 1}, {"lseek", 1}, {"close", 1}};
+
+  // Linux: every call runs the driver natively, fast path or not.
+  const RouteTrace lnx = trace_every_op(/*on_lwk=*/false, /*register_fast_path=*/true);
+  EXPECT_EQ(lnx.offloads, std::vector<std::uint64_t>(8, 0));
+  EXPECT_EQ(lnx.driver, every_call);
+  EXPECT_TRUE(lnx.port.empty());
+  EXPECT_EQ(lnx.records, every_call);
+
+  // McKernel: every call is exactly one offload to the proxy's driver.
+  const RouteTrace mck = trace_every_op(/*on_lwk=*/true, /*register_fast_path=*/false);
+  EXPECT_EQ(mck.offloads, std::vector<std::uint64_t>(8, 1));
+  EXPECT_EQ(mck.driver, every_call);
+  EXPECT_TRUE(mck.port.empty());
+  EXPECT_EQ(mck.records, every_call);
+
+  // McKernel + fast path: writev and the ported command run the port's op
+  // on the LWK; the other command and every other call still offload.
+  const RouteTrace pico = trace_every_op(/*on_lwk=*/true, /*register_fast_path=*/true);
+  EXPECT_EQ(pico.offloads, (std::vector<std::uint64_t>{1, 0, 0, 1, 1, 1, 1, 1}));
+  EXPECT_EQ(pico.driver, (Counts{{"open", 1}, {"ioctl", 1}, {"mmap", 1},
+                                  {"read", 1}, {"lseek", 1}, {"close", 1}}));
+  EXPECT_EQ(pico.port, (Counts{{"writev", 1}, {"ioctl", 1}}));
+  EXPECT_EQ(pico.records, every_call);
+}
+
+/// A driver that writes only the two file ops every driver must have.
+class OpenCloseOnly final : public CharDevice {
+ public:
+  explicit OpenCloseOnly(LinuxKernel& linux_kernel) { linux_kernel.register_device(*this); }
+  std::string dev_name() const override { return "/dev/open_close_only"; }
+  sim::Task<Result<long>> open(OpenFile&) override { co_return 0L; }
+  sim::Task<Result<long>> close(OpenFile&) override { co_return 0L; }
+};
+
+TEST(Process, FileOpsADriverLacksReturnEinval) {
+  ProcFixture f;
+  OpenCloseOnly dev(f.linux_kernel);
+  Process lnx(f.linux_kernel, f.phys, 0, 0, 31);
+  Process lwk(f.mck, f.phys, 0, 1, 32);
+  for (Process* proc : {&lnx, &lwk}) {
+    sim::spawn(f.engine, [](Process& p) -> sim::Task<> {
+      auto fd = co_await p.open("/dev/open_close_only");
+      CO_ASSERT_TRUE(fd.ok());
+      auto w = co_await p.writev(*fd, std::vector<IoVec>{});
+      EXPECT_EQ(w.error(), Errno::einval);
+      auto i = co_await p.ioctl(*fd, 1, nullptr);
+      EXPECT_EQ(i.error(), Errno::einval);
+      auto m = co_await p.mmap_dev(*fd, 4096, 0);
+      EXPECT_EQ(m.error(), Errno::einval);
+      auto r = co_await p.read_fd(*fd, 64);
+      EXPECT_EQ(r.error(), Errno::einval);
+      auto s = co_await p.lseek(*fd, 0, 0);
+      EXPECT_EQ(s.error(), Errno::einval);
+      auto c = co_await p.close_fd(*fd);
+      EXPECT_TRUE(c.ok());
+    }(*proc));
+  }
+  f.engine.run();
+  // The McKernel process's EINVALs came back from the proxy: its open, five
+  // failed calls and close were one offload each.
+  EXPECT_EQ(f.ihk.offload_count(), 7u);
 }
 
 TEST(Process, NanosleepRecordsKernelTime) {
