@@ -14,16 +14,13 @@ int main() {
   bench::print_banner("Listing 1 — DWARF-extracted sdma_state header",
                       "padded-union header generated from module debug info only");
 
-  for (const char* version : {"10.8-0", "10.9-5", "11.0-2"}) {
-    auto layouts = hfi::DriverLayouts::for_version(version);
+  for (const dwarf::Release& release : hfi::layout_spec().releases) {
+    const char* version = release.version.c_str();
+    auto layouts = dwarf::LayoutTable::for_version(hfi::layout_spec(), release.version);
     if (!layouts.ok()) continue;
     const auto t0 = std::chrono::steady_clock::now();
     const dwarf::ModuleBinary module = layouts->ship_module();
-    static const std::vector<std::uint8_t> kNoStr;
-    const auto* str = module.section(".debug_str");
-    auto view = dwarf::DebugInfoView::parse(*module.section(".debug_abbrev"),
-                                            *module.section(".debug_info"),
-                                            str != nullptr ? *str : kNoStr);
+    auto view = module.debug_info();
     if (!view.ok()) {
       std::printf("parse failed for %s\n", version);
       return 1;

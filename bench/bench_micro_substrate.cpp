@@ -75,12 +75,10 @@ void BM_PhysicalExtents1MiB(benchmark::State& state) {
 BENCHMARK(BM_PhysicalExtents1MiB);
 
 void BM_DwarfShipParseExtract(benchmark::State& state) {
-  auto layouts = hfi::DriverLayouts::for_version("11.0-2");
+  auto layouts = dwarf::LayoutTable::for_version(hfi::layout_spec(), "11.0-2");
   const dwarf::ModuleBinary module = layouts->ship_module();
   for (auto _ : state) {
-    auto view = dwarf::DebugInfoView::parse(*module.section(".debug_abbrev"),
-                                            *module.section(".debug_info"),
-                                            *module.section(".debug_str"));
+    auto view = module.debug_info();
     auto layout = dwarf::extract_struct(*view, "sdma_state",
                                         {"current_state", "go_s99_running"});
     benchmark::DoNotOptimize(layout);

@@ -56,8 +56,7 @@ class MlxDriver final : public os::CharDevice {
     auto dbg = b.build("mlx5_core 5.8-1", "mlx5_core.ko");
     dwarf::ModuleBinary mod;
     mod.set_version("mlx5_core 5.8-1");
-    mod.set_section(".debug_abbrev", dbg.abbrev);
-    mod.set_section(".debug_info", dbg.info);
+    mod.set_debug_info(dbg);
     return mod;
   }
 

@@ -18,19 +18,19 @@ DoomDriver::DoomDriver(os::LinuxKernel& linux_kernel, hw::DoomDevice& device,
                        const std::string& version)
     : linux_(linux_kernel),
       device_(device),
-      layouts_(*DoomLayouts::for_version(version)),
+      layouts_(*dwarf::LayoutTable::for_version(layout_spec(), version)),
       module_(layouts_.ship_module()) {
-  const StructDef* dev_def = layouts_.structure("doom_devdata");
+  const dwarf::StructDef* dev_def = layouts_.structure("doom_devdata");
   assert(dev_def != nullptr);
   auto addr = linux_.kheap().kmalloc(dev_def->byte_size, alloc_cpu());
   assert(addr.ok());
   devdata_ = *addr;
-  StructImage dev = image(devdata_, "doom_devdata");
+  dwarf::StructImage dev = image(devdata_, "doom_devdata");
   dev.write<std::uint32_t>("dev_idx", 0);
   dev.write<std::uint32_t>("ring_slots", device_.config().ring_slots);
   dev.write<std::uint64_t>("cmds_submitted", 0);
   dev.write<std::uint64_t>("fence_seq", 0);
-  StructImage ring = ring_image();
+  dwarf::StructImage ring = ring_image();
   ring.write<std::uint32_t>("run_state", static_cast<std::uint32_t>(DoomRunState::running));
   ring.write<std::uint32_t>("error_flags", 0);
 
@@ -42,16 +42,12 @@ DoomDriver::DoomDriver(os::LinuxKernel& linux_kernel, hw::DoomDevice& device,
 
 DoomDriver::~DoomDriver() = default;
 
-StructImage DoomDriver::image(mem::PhysAddr addr, const char* struct_name) const {
-  return StructImage(linux_.kheap().data(addr), layouts_.structure(struct_name));
+dwarf::StructImage DoomDriver::image(mem::PhysAddr addr, const char* struct_name) const {
+  return layouts_.image(linux_.kheap().data(addr), struct_name);
 }
 
-StructImage DoomDriver::ring_image() const {
-  const StructDef* dev_def = layouts_.structure("doom_devdata");
-  const StructDef* ring_def = layouts_.structure("doom_ringstate");
-  const FieldDef* ring_field = dev_def->field("ring");
-  auto bytes = linux_.kheap().data(devdata_);
-  return StructImage(bytes.subspan(ring_field->offset, ring_def->byte_size), ring_def);
+dwarf::StructImage DoomDriver::ring_image() const {
+  return image(devdata_, "doom_devdata").member("ring", *layouts_.structure("doom_ringstate"));
 }
 
 mem::PhysAddr DoomDriver::ctx_image(const os::OpenFile& f) const { return fctx(f)->ctxdata; }
@@ -60,7 +56,7 @@ mem::VirtAddr DoomDriver::completion_callback_text() const {
   return linux_.layout().image.start + 0x5'3000;  // somewhere in Linux TEXT
 }
 
-std::uint64_t DoomDriver::alloc_dva(StructImage& ctx_img, std::uint64_t bytes) {
+std::uint64_t DoomDriver::alloc_dva(dwarf::StructImage& ctx_img, std::uint64_t bytes) {
   const std::uint64_t cur = ctx_img.read<std::uint64_t>("dva_next");
   ctx_img.write<std::uint64_t>("dva_next", cur + mem::page_ceil(bytes, mem::kPage4K));
   return cur;
@@ -68,7 +64,7 @@ std::uint64_t DoomDriver::alloc_dva(StructImage& ctx_img, std::uint64_t bytes) {
 
 void DoomDriver::note_device_fault() {
   if (!device_.faulted()) return;
-  StructImage ring = ring_image();
+  dwarf::StructImage ring = ring_image();
   if (ring.read<std::uint32_t>("run_state") ==
       static_cast<std::uint32_t>(DoomRunState::error))
     return;
@@ -90,7 +86,7 @@ sim::Task<Result<long>> DoomDriver::open(os::OpenFile& f) {
   f.driver_ctx = ctx;
   f.driver_ctx_dtor = [](void* p) { delete static_cast<FileCtx*>(p); };
 
-  StructImage img = image(*ctxdata, "doom_ctx");
+  dwarf::StructImage img = image(*ctxdata, "doom_ctx");
   img.write<std::uint32_t>("ctx_id", static_cast<std::uint32_t>(f.ctxt));
   img.write<std::uint32_t>("pt_capacity", device_.config().pt_entries_per_ctx);
   img.write<std::uint64_t>("pt_used", 0);
@@ -127,7 +123,7 @@ sim::Task<Result<long>> DoomDriver::submit_batch(os::OpenFile& f, DoomSubmitArgs
   }
   co_await linux_.engine().delay(static_cast<Dur>(total_pages) * cfg.gup_per_page);
 
-  StructImage ctx_img = image(ctx->ctxdata, "doom_ctx");
+  dwarf::StructImage ctx_img = image(ctx->ctxdata, "doom_ctx");
   std::vector<hw::DoomCommand> cmds;
   std::vector<mem::PinnedPages> pins;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> transient;  // dva window, len
@@ -188,7 +184,7 @@ sim::Task<Result<long>> DoomDriver::submit_batch(os::OpenFile& f, DoomSubmitArgs
   while (device_.ring_free() < cmds.size() + 1)
     co_await linux_.engine().delay(500_ns);  // ring-full backoff
 
-  StructImage dev = image(devdata_, "doom_devdata");
+  dwarf::StructImage dev = image(devdata_, "doom_devdata");
   const std::uint64_t fence = dev.read<std::uint64_t>("fence_seq") + 1;
   dev.write<std::uint64_t>("fence_seq", fence);
   dev.write<std::uint64_t>("cmds_submitted",
@@ -222,7 +218,7 @@ sim::Task<Result<long>> DoomDriver::submit_batch(os::OpenFile& f, DoomSubmitArgs
         for (const auto& p : pins_moved) asp->put_user_pages(p);
         for (const auto& [dva, len] : transient_moved)
           (void)self->device_.unmap_range(hw_ctxt, dva, len);
-        StructImage img = self->image(ctxdata_addr, "doom_ctx");
+        dwarf::StructImage img = self->image(ctxdata_addr, "doom_ctx");
         img.write<std::uint64_t>("pt_used",
                                  img.read<std::uint64_t>("pt_used") - transient_entries);
         (void)self->linux_.kheap().kfree(meta_addr, self->alloc_cpu());
@@ -240,7 +236,7 @@ sim::Task<Result<long>> DoomDriver::wait_fence(os::OpenFile& f, std::uint64_t se
   if (seq == 0) co_return Errno::einval;
   const os::Config& cfg = linux_.config();
   {
-    StructImage dev = image(devdata_, "doom_devdata");
+    dwarf::StructImage dev = image(devdata_, "doom_devdata");
     if (seq > dev.read<std::uint64_t>("fence_seq")) co_return Errno::einval;
   }
   Dur since_check = 0;
@@ -317,7 +313,7 @@ sim::Task<Result<long>> DoomDriver::ioctl(os::OpenFile& f, unsigned long cmd, vo
       auto pinned = as.get_user_pages(args->va, args->len);
       if (!pinned.ok()) co_return pinned.error();
 
-      StructImage ctx_img = image(ctx->ctxdata, "doom_ctx");
+      dwarf::StructImage ctx_img = image(ctx->ctxdata, "doom_ctx");
       const std::uint64_t off = args->va & (mem::kPage4K - 1);
       const std::uint64_t window = alloc_dva(ctx_img, off + args->len);
       std::uint64_t cursor = window;
@@ -353,7 +349,7 @@ sim::Task<Result<long>> DoomDriver::ioctl(os::OpenFile& f, unsigned long cmd, vo
     case kDoomResetError: {
       co_await linux_.engine().delay(from_us(3.0));
       device_.reset_error();
-      StructImage ring = ring_image();
+      dwarf::StructImage ring = ring_image();
       ring.write<std::uint32_t>("run_state",
                                 static_cast<std::uint32_t>(DoomRunState::running));
       ring.write<std::uint32_t>("error_flags", 0);

@@ -55,7 +55,7 @@ class DoomDriver final : public os::CharDevice {
   /// --- what the PicoDriver needs ----------------------------------------
   os::LinuxKernel& linux_kernel() { return linux_; }
   hw::DoomDevice& device() { return device_; }
-  const DoomLayouts& layouts() const { return layouts_; }
+  const dwarf::LayoutTable& layouts() const { return layouts_; }
   const dwarf::ModuleBinary& module_binary() const { return module_; }
 
   /// The command-ring submission spin-lock both kernels take (§3.3).
@@ -94,13 +94,13 @@ class DoomDriver final : public os::CharDevice {
   };
 
   FileCtx* fctx(const os::OpenFile& f) const { return static_cast<FileCtx*>(f.driver_ctx); }
-  StructImage image(mem::PhysAddr addr, const char* struct_name) const;
-  StructImage ring_image() const;  // embedded doom_ringstate view
+  dwarf::StructImage image(mem::PhysAddr addr, const char* struct_name) const;
+  dwarf::StructImage ring_image() const;  // embedded doom_ringstate view
   int alloc_cpu() const { return 0; }
 
   /// Reserve `bytes` of device VA from the ctx image's dva_next cursor
   /// (shared with the fast path through the image field).
-  std::uint64_t alloc_dva(StructImage& ctx_img, std::uint64_t bytes);
+  std::uint64_t alloc_dva(dwarf::StructImage& ctx_img, std::uint64_t bytes);
 
   /// Mirror a device fault into the doom_ringstate image (run_state=error);
   /// submitters check the image, not the device object.
@@ -114,7 +114,7 @@ class DoomDriver final : public os::CharDevice {
 
   os::LinuxKernel& linux_;
   hw::DoomDevice& device_;
-  DoomLayouts layouts_;
+  dwarf::LayoutTable layouts_;
   dwarf::ModuleBinary module_;
 
   mem::PhysAddr devdata_ = 0;

@@ -1,137 +1,61 @@
 #include "src/doom/layouts.hpp"
 
-#include <algorithm>
-#include <map>
-
-#include "src/dwarf/constants.hpp"
-#include "src/dwarf/writer.hpp"
-
 namespace pd::doom {
 
-namespace {
+const dwarf::LayoutSpec& layout_spec() {
+  static const dwarf::LayoutSpec spec{
+      .module = "pd_doom",
+      .producer = "pd-doom accelerator driver build",
+      .enums = {{"doom_run_state",
+                 4,
+                 {{"doom_halted", 0},
+                  {"doom_running", 1},
+                  {"doom_error", 2}}}},
+      // Baseline ("0.9-d6") layouts. Offsets follow natural alignment with
+      // gaps standing in for the many fields the model does not need.
+      .structs = {
+          dwarf::StructDef{
+              "doom_ringstate",
+              48,
+              {
+                  {"run_state", 0, 4, "enum doom_run_state"},
+                  {"error_flags", 8, 4, "u32"},
+                  {"cmds_retired", 16, 8, "u64"},
+              }},
 
-using dwarf::VersionShift;
+          dwarf::StructDef{
+              "doom_devdata",
+              192,
+              {
+                  {"dev_idx", 0, 4, "u32"},
+                  {"ring_slots", 8, 4, "u32"},
+                  {"cmds_submitted", 16, 8, "u64"},
+                  {"fence_seq", 24, 8, "u64"},
+                  {"ring", 64, 48, "struct doom_ringstate"},
+              }},
 
-std::vector<VersionShift> shifts_for(const std::string& version) {
-  if (version == "0.9-d6") return {};
-  if (version == "1.1-d2")
-    return {{"doom_ctx", 8, 8},        // new tracing member before flags
-            {"doom_devdata", 24, 8}};  // widened IRQ mask before fence_seq
-  if (version == "2.0-d1")
-    return {{"doom_ringstate", 8, 8},
-            {"doom_ctx", 16, 16},
-            {"doom_devdata", 16, 8}};
-  return {};  // caller validated the version
-}
-
-bool known_version(const std::string& v) {
-  return v == "0.9-d6" || v == "1.1-d2" || v == "2.0-d1";
-}
-
-/// Baseline ("0.9-d6") layouts. Offsets follow natural alignment with gaps
-/// standing in for the many fields the model does not need.
-std::vector<StructDef> baseline_structs() {
-  std::vector<StructDef> out;
-
-  out.push_back(StructDef{
-      "doom_ringstate",
-      48,
-      {
-          {"run_state", 0, 4, "enum doom_run_state"},
-          {"error_flags", 8, 4, "u32"},
-          {"cmds_retired", 16, 8, "u64"},
-      }});
-
-  out.push_back(StructDef{
-      "doom_devdata",
-      192,
-      {
-          {"dev_idx", 0, 4, "u32"},
-          {"ring_slots", 8, 4, "u32"},
-          {"cmds_submitted", 16, 8, "u64"},
-          {"fence_seq", 24, 8, "u64"},
-          {"ring", 64, 48, "struct doom_ringstate"},
-      }});
-
-  out.push_back(StructDef{
-      "doom_ctx",
-      128,
-      {
-          {"ctx_id", 0, 4, "u32"},
-          {"flags", 8, 8, "u64"},
-          {"pt_capacity", 16, 4, "u32"},
-          {"pt_used", 24, 8, "u64"},
-          {"batches_submitted", 32, 8, "u64"},
-          {"dva_next", 40, 8, "u64"},
-      }});
-
-  return out;
-}
-
-}  // namespace
-
-Result<DoomLayouts> DoomLayouts::for_version(const std::string& version) {
-  if (!known_version(version)) return Errno::enoent;
-  DoomLayouts layouts;
-  layouts.version_ = version;
-  layouts.structs_ = baseline_structs();
-  dwarf::apply_shifts(layouts.structs_, shifts_for(version));
-  return layouts;
-}
-
-const StructDef* DoomLayouts::structure(const std::string& name) const {
-  auto it = std::find_if(structs_.begin(), structs_.end(),
-                         [&](const StructDef& s) { return s.name == name; });
-  return it == structs_.end() ? nullptr : &*it;
-}
-
-dwarf::ModuleBinary DoomLayouts::ship_module() const {
-  using dwarf::InfoBuilder;
-  using dwarf::TypeRef;
-
-  InfoBuilder b;
-  const TypeRef u32 = b.add_base_type("unsigned int", 4, dwarf::DW_ATE_unsigned);
-  const TypeRef u64 = b.add_base_type("long unsigned int", 8, dwarf::DW_ATE_unsigned);
-
-  const TypeRef run_state = b.add_enum("doom_run_state", 4,
-                                       {{"doom_halted", 0},
-                                        {"doom_running", 1},
-                                        {"doom_error", 2}});
-
-  std::map<std::string, TypeRef> named_types;  // struct name → ref
-  auto type_for = [&](const std::string& type_name) -> TypeRef {
-    if (type_name == "u32") return u32;
-    if (type_name == "u64") return u64;
-    if (type_name == "enum doom_run_state") return run_state;
-    if (type_name.rfind("struct ", 0) == 0) {
-      const std::string sname = type_name.substr(7);
-      auto it = named_types.find(sname);
-      if (it != named_types.end()) return it->second;
-    }
-    return u64;  // unreachable for the defined layouts
+          dwarf::StructDef{
+              "doom_ctx",
+              128,
+              {
+                  {"ctx_id", 0, 4, "u32"},
+                  {"flags", 8, 8, "u64"},
+                  {"pt_capacity", 16, 4, "u32"},
+                  {"pt_used", 24, 8, "u64"},
+                  {"batches_submitted", 32, 8, "u64"},
+                  {"dva_next", 40, 8, "u64"},
+              }},
+      },
+      .releases = {{"0.9-d6", {}},
+                   {"1.1-d2",
+                    {{"doom_ctx", 8, 8},         // new tracing member before flags
+                     {"doom_devdata", 24, 8}}},  // widened IRQ mask before fence_seq
+                   {"2.0-d1",
+                    {{"doom_ringstate", 8, 8},
+                     {"doom_ctx", 16, 16},
+                     {"doom_devdata", 16, 8}}}},
   };
-
-  // Emit in declaration order so embedded structs resolve (doom_ringstate
-  // is declared before doom_devdata in baseline_structs()).
-  for (const auto& s : structs_) {
-    std::vector<InfoBuilder::Member> members;
-    members.reserve(s.fields.size());
-    for (const auto& f : s.fields)
-      members.push_back(InfoBuilder::Member{f.name, type_for(f.type_name), f.offset});
-    named_types[s.name] = b.add_struct(s.name, s.byte_size, std::move(members));
-  }
-
-  const dwarf::DebugInfo dbg =
-      b.build("pd-doom accelerator driver build " + version_, "pd_doom.ko",
-              dwarf::StringForm::strp);
-
-  dwarf::ModuleBinary mod;
-  mod.set_version("pd_doom " + version_);
-  mod.set_section(".text", std::vector<std::uint8_t>(64, 0x90));  // stub
-  mod.set_section(".debug_abbrev", dbg.abbrev);
-  mod.set_section(".debug_info", dbg.info);
-  mod.set_section(".debug_str", dbg.str);
-  return mod;
+  return spec;
 }
 
 }  // namespace pd::doom

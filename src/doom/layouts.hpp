@@ -3,25 +3,18 @@
 // Second proof point for §3.2: a *different* driver's internal structures
 // (`doom_devdata` with an embedded `doom_ringstate`, per-open `doom_ctx`)
 // live as raw byte images in the Linux kernel heap, the driver reads them
-// through this compiled-in table, and the PicoDriver side learns the same
-// offsets exclusively from the DWARF info inside the module binary that
-// `ship_module()` produces. The versions deliberately shuffle fields so the
-// extraction — not the header — is what keeps the fast path correct.
+// through the dwarf::LayoutTable it builds from the spec below, and the
+// PicoDriver side learns the same offsets exclusively from the DWARF info
+// inside the module binary that `LayoutTable::ship_module()` produces. The
+// releases deliberately shuffle fields so the extraction — not the header —
+// is what keeps the fast path correct.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "src/common/status.hpp"
 #include "src/dwarf/layout_table.hpp"
-#include "src/dwarf/module_binary.hpp"
 
 namespace pd::doom {
-
-using dwarf::FieldDef;
-using dwarf::StructDef;
-using dwarf::StructImage;
 
 /// Device run state the driver stores in doom_ringstate::run_state.
 enum class DoomRunState : std::uint32_t {
@@ -30,21 +23,7 @@ enum class DoomRunState : std::uint32_t {
   error = 2,  // bad PTE parked the device; reset required
 };
 
-class DoomLayouts {
- public:
-  /// Known versions: "0.9-d6", "1.1-d2", "2.0-d1". Unknown versions fail.
-  static Result<DoomLayouts> for_version(const std::string& version);
-
-  const std::string& version() const { return version_; }
-  const StructDef* structure(const std::string& name) const;
-
-  /// The shipped module binary: .text stub, version string, and DWARF debug
-  /// info describing every structure above.
-  dwarf::ModuleBinary ship_module() const;
-
- private:
-  std::string version_;
-  std::vector<StructDef> structs_;
-};
+/// The pd_doom module's structures in releases "0.9-d6", "1.1-d2" and "2.0-d1".
+const dwarf::LayoutSpec& layout_spec();
 
 }  // namespace pd::doom

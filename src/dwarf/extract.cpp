@@ -85,8 +85,11 @@ std::string format_decl(const DebugInfoView& view, const Die* type, const std::s
       const Die* elem = view.type_of(*type);
       std::string decl = varname;
       for (const auto& child : type->children) {
-        if (child->tag == DW_TAG_subrange_type)
-          decl += "[" + std::to_string(child->unsigned_attr(DW_AT_count).value_or(0)) + "]";
+        if (child->tag == DW_TAG_subrange_type) {
+          decl += '[';
+          decl += std::to_string(child->unsigned_attr(DW_AT_count).value_or(0));
+          decl += ']';
+        }
       }
       return format_decl(view, elem, decl, depth + 1);
     }

@@ -7,10 +7,11 @@
 // information as DWARF debug info in its module binary, and the PicoDriver
 // side re-learns the offsets from that binary alone (§3.2).
 //
-// These primitives are driver-agnostic: the HFI1 table (src/hfi/layouts)
-// and the pd-doom table (src/doom/layouts) both build on them, so adding a
-// device class never re-implements field lookup, image access, or the
-// version-shift machinery.
+// A driver's layouts.cpp holds only data: a `LayoutSpec` naming its module,
+// its enums, its baseline structs and its releases. `LayoutTable` is the
+// one code path from a spec to a release's structures, their images and the
+// module binary that release ships, for the HFI1 driver (src/hfi) and the
+// pd-doom driver (src/doom) alike.
 #pragma once
 
 #include <cstdint>
@@ -18,13 +19,17 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.hpp"
+#include "src/dwarf/module_binary.hpp"
+#include "src/dwarf/writer.hpp"
+
 namespace pd::dwarf {
 
 struct FieldDef {
   std::string name;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
-  std::string type_name;  // for debug-info emission
+  std::string type_name;  // "u16", "u32", "u64", "enum <name>" or "struct <name>"
 };
 
 struct StructDef {
@@ -33,6 +38,12 @@ struct StructDef {
   std::vector<FieldDef> fields;
 
   const FieldDef* field(const std::string& fname) const;
+};
+
+struct EnumDef {
+  std::string name;
+  std::uint64_t byte_size = 0;
+  std::vector<InfoBuilder::Enumerator> values;
 };
 
 /// Per-version padding shift, emulating vendor releases that grow or move
@@ -44,10 +55,21 @@ struct VersionShift {
   std::uint64_t delta;
 };
 
-/// Apply a release's shifts to a baseline table. Embedded-struct fields
-/// (type_name "struct X") inherit the possibly-grown size of their type
-/// afterwards, so containers stay consistent with what they embed.
-void apply_shifts(std::vector<StructDef>& structs, const std::vector<VersionShift>& shifts);
+/// One vendor release: its version string and the shifts it applies to the
+/// baseline structs.
+struct Release {
+  std::string version;
+  std::vector<VersionShift> shifts;
+};
+
+/// Everything a driver's layouts.cpp states about its structures.
+struct LayoutSpec {
+  std::string module;    // ships as "<module>.ko", `.modinfo` "<module> <version>"
+  std::string producer;  // DW_AT_producer, followed by the version
+  std::vector<EnumDef> enums;
+  std::vector<StructDef> structs;  // baseline release, embedded structs declared first
+  std::vector<Release> releases;
+};
 
 /// Typed accessor over a raw structure image using a layout table — the
 /// driver's own (compiled-in) view of its structures.
@@ -56,7 +78,10 @@ class StructImage {
   StructImage() = default;
   StructImage(std::span<std::uint8_t> bytes, const StructDef* def) : bytes_(bytes), def_(def) {}
 
-  bool valid() const { return def_ != nullptr && bytes_.size() >= def_->byte_size; }
+  /// The struct `inner` embedded at `field`.
+  StructImage member(const std::string& field, const StructDef& inner) const {
+    return StructImage(bytes_.subspan(def_->field(field)->offset, inner.byte_size), &inner);
+  }
 
   template <typename T>
   T read(const std::string& field) const {
@@ -78,6 +103,33 @@ class StructImage {
  private:
   std::span<std::uint8_t> bytes_;
   const StructDef* def_ = nullptr;
+};
+
+/// One release of a driver's layouts.
+class LayoutTable {
+ public:
+  /// `spec` at release `version`: the baseline structs with that release's
+  /// shifts applied, each embedded struct field sized as its (possibly
+  /// grown) type. ENOENT when `spec` lists no such release. The table
+  /// refers to `spec`, which must outlive it.
+  static Result<LayoutTable> for_version(const LayoutSpec& spec, const std::string& version);
+
+  const StructDef* structure(const std::string& name) const;
+  /// `bytes` viewed as the structure `name`.
+  StructImage image(std::span<std::uint8_t> bytes, const std::string& name) const {
+    return StructImage(bytes, structure(name));
+  }
+
+  /// The module binary this release ships: `.modinfo` version, a `.text`
+  /// stub, and DWARF debug info (DW_FORM_strp strings) declaring the
+  /// unsigned base types the structs use in ascending size, then the
+  /// enums, then the structs in declaration order.
+  ModuleBinary ship_module() const;
+
+ private:
+  const LayoutSpec* spec_ = nullptr;
+  std::vector<StructDef> structs_;  // spec_->structs as of version_
+  std::string version_;
 };
 
 }  // namespace pd::dwarf

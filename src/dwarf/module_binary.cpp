@@ -34,8 +34,7 @@ const std::vector<std::uint8_t>* ModuleBinary::section(const std::string& name) 
 }
 
 std::vector<std::uint8_t> ModuleBinary::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof kMagic);
   write_u64(out, sections_.size());
   for (const auto& s : sections_) {
     write_u64(out, s.name.size());
@@ -93,6 +92,21 @@ Result<ModuleBinary> ModuleBinary::load(const std::string& path) {
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
   return deserialize(bytes);
+}
+
+void ModuleBinary::set_debug_info(const DebugInfo& dbg) {
+  set_section(".debug_abbrev", dbg.abbrev);
+  set_section(".debug_info", dbg.info);
+  if (!dbg.str.empty()) set_section(".debug_str", dbg.str);
+}
+
+Result<DebugInfoView> ModuleBinary::debug_info() const {
+  const auto* abbrev = section(".debug_abbrev");
+  const auto* info = section(".debug_info");
+  if (abbrev == nullptr || info == nullptr) return Errno::enoent;
+  static const std::vector<std::uint8_t> kNoStr;
+  const auto* str = section(".debug_str");
+  return DebugInfoView::parse(*abbrev, *info, str != nullptr ? *str : kNoStr);
 }
 
 void ModuleBinary::set_version(const std::string& version) {

@@ -13,24 +13,22 @@ HfiDriver::HfiDriver(os::LinuxKernel& linux_kernel, hw::HfiDevice& device,
                      const std::string& version)
     : linux_(linux_kernel),
       device_(device),
-      layouts_(*DriverLayouts::for_version(version)),
+      layouts_(*dwarf::LayoutTable::for_version(layout_spec(), version)),
       module_(layouts_.ship_module()) {
   // Per-engine state images: the fields the fast path will interrogate.
-  const StructDef* engine_def = layouts_.structure("sdma_engine");
-  const StructDef* state_def = layouts_.structure("sdma_state");
+  const dwarf::StructDef* engine_def = layouts_.structure("sdma_engine");
+  const dwarf::StructDef* state_def = layouts_.structure("sdma_state");
   assert(engine_def != nullptr && state_def != nullptr);
   for (int i = 0; i < device_.num_engines(); ++i) {
     auto addr = linux_.kheap().kmalloc(engine_def->byte_size, alloc_cpu());
     assert(addr.ok());
-    StructImage eng = image(*addr, "sdma_engine");
+    dwarf::StructImage eng = image(*addr, "sdma_engine");
     eng.write<std::uint32_t>("this_idx", static_cast<std::uint32_t>(i));
     eng.write<std::uint32_t>("descq_cnt", device_.config().sdma.ring_slots);
     // Embedded sdma_state: hardware is brought to s99_running at init.
-    const FieldDef* state_field = engine_def->field("state");
-    auto bytes = linux_.kheap().data(*addr);
-    StructImage state(bytes.subspan(state_field->offset, state_def->byte_size), state_def);
-    state.write<std::uint32_t>("current_state",
-                               static_cast<std::uint32_t>(SdmaStates::s99_running));
+    eng.member("state", *state_def)
+        .write<std::uint32_t>("current_state",
+                              static_cast<std::uint32_t>(SdmaStates::s99_running));
     engine_images_.push_back(*addr);
     engine_locks_.push_back(std::make_unique<os::SharedSpinlock>(
         linux_.engine(), linux_.spinlock_abi(), linux_.config().pico_lock_acquire));
@@ -45,8 +43,8 @@ HfiDriver::~HfiDriver() = default;
 
 int HfiDriver::alloc_cpu() const { return 0; }  // first Linux-owned CPU
 
-StructImage HfiDriver::image(mem::PhysAddr addr, const char* struct_name) const {
-  return StructImage(linux_.kheap().data(addr), layouts_.structure(struct_name));
+dwarf::StructImage HfiDriver::image(mem::PhysAddr addr, const char* struct_name) const {
+  return layouts_.image(linux_.kheap().data(addr), struct_name);
 }
 
 mem::PhysAddr HfiDriver::sdma_engine_image(int engine_id) const {
@@ -83,13 +81,13 @@ sim::Task<Result<long>> HfiDriver::open(os::OpenFile& f) {
   f.driver_ctx = ctx;
   f.driver_ctx_dtor = [](void* p) { delete static_cast<FileCtx*>(p); };
 
-  StructImage fd_img = image(*filedata, "hfi1_filedata");
+  dwarf::StructImage fd_img = image(*filedata, "hfi1_filedata");
   fd_img.write<std::uint32_t>("ctxt", static_cast<std::uint32_t>(f.ctxt));
   fd_img.write<std::uint16_t>("subctxt", 0);
   fd_img.write<std::uint32_t>("sdma_engine_idx",
                               static_cast<std::uint32_t>(device_.pick_engine()));
 
-  StructImage cd_img = image(*ctxtdata, "hfi1_ctxtdata");
+  dwarf::StructImage cd_img = image(*ctxtdata, "hfi1_ctxtdata");
   cd_img.write<std::uint32_t>("ctxt", static_cast<std::uint32_t>(f.ctxt));
   cd_img.write<std::uint32_t>("expected_base",
                               static_cast<std::uint32_t>(f.ctxt) * expected_entries_per_ctxt_);
@@ -152,7 +150,7 @@ sim::Task<Result<long>> HfiDriver::writev(os::OpenFile& f, std::span<const os::I
   }
 
   // Reserve the file's SDMA engine and submit; wait out ring backpressure.
-  StructImage fd_img = image(ctx->filedata, "hfi1_filedata");
+  dwarf::StructImage fd_img = image(ctx->filedata, "hfi1_filedata");
   const int engine_id = static_cast<int>(fd_img.read<std::uint32_t>("sdma_engine_idx"));
   co_await linux_.engine().delay(cfg.sdma_submit_base +
                                  static_cast<Dur>(descs.size()) * cfg.sdma_submit_per_desc);
@@ -173,8 +171,8 @@ sim::Task<Result<long>> HfiDriver::writev(os::OpenFile& f, std::span<const os::I
   while (engine.ring_free() < descs.size())
     co_await linux_.engine().delay(500_ns);  // ring-full backoff
 
-  StructImage eng_img = image(engine_images_[static_cast<std::size_t>(engine_id)],
-                              "sdma_engine");
+  dwarf::StructImage eng_img =
+      image(engine_images_[static_cast<std::size_t>(engine_id)], "sdma_engine");
   eng_img.write<std::uint64_t>("descq_submitted",
                                eng_img.read<std::uint64_t>("descq_submitted") + descs.size());
 
@@ -233,8 +231,8 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
       // make room (registration-cache semantics); it can never touch a
       // neighbour context's share, and a request that would not fit even
       // into an empty share still fails outright.
-      StructImage cd = image(ctx->ctxtdata, "hfi1_ctxtdata");
-      StructImage fd = image(ctx->filedata, "hfi1_filedata");
+      dwarf::StructImage cd = image(ctx->ctxtdata, "hfi1_ctxtdata");
+      dwarf::StructImage fd = image(ctx->filedata, "hfi1_filedata");
       const std::uint64_t quota = cd.read<std::uint32_t>("expected_count");
       if (pages > quota) {
         as.put_user_pages(*pinned);
@@ -283,7 +281,7 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
       co_await linux_.engine().delay(cfg.tid_program_base +
                                      static_cast<Dur>(args->tids.size()) *
                                          cfg.tid_program_per_entry / 2);
-      StructImage fd = image(ctx->filedata, "hfi1_filedata");
+      dwarf::StructImage fd = image(ctx->filedata, "hfi1_filedata");
       // As hfi1's user_exp_rcv_clear: stop at the first TID that cannot be
       // unprogrammed, but account for every one released before it.
       std::uint64_t released_pages = 0;
@@ -398,7 +396,7 @@ Status HfiDriver::evict_lru_tid(os::OpenFile& f) {
   });
   (void)device_.rcv_array().unprogram(ctx->hw_ctxt, tid);
   (void)release_tid(f, tid);
-  StructImage fd = image(ctx->filedata, "hfi1_filedata");
+  dwarf::StructImage fd = image(ctx->filedata, "hfi1_filedata");
   fd.write<std::uint64_t>("tid_used", fd.read<std::uint64_t>("tid_used") - 1);
   linux_.profiler().bump("hfi.tid.quota_evict");
   return Status::success();

@@ -50,7 +50,7 @@ class HfiDriver final : public os::CharDevice {
   /// --- what the PicoDriver needs ----------------------------------------
   os::LinuxKernel& linux_kernel() { return linux_; }
   hw::HfiDevice& device() { return device_; }
-  const DriverLayouts& layouts() const { return layouts_; }
+  const dwarf::LayoutTable& layouts() const { return layouts_; }
   /// The vendor-shipped module binary (DWARF inside).
   const dwarf::ModuleBinary& module_binary() const { return module_; }
 
@@ -105,12 +105,12 @@ class HfiDriver final : public os::CharDevice {
   };
 
   FileCtx* fctx(const os::OpenFile& f) const { return static_cast<FileCtx*>(f.driver_ctx); }
-  StructImage image(mem::PhysAddr addr, const char* struct_name) const;
+  dwarf::StructImage image(mem::PhysAddr addr, const char* struct_name) const;
   int alloc_cpu() const;  // representative Linux CPU for kheap ownership
 
   os::LinuxKernel& linux_;
   hw::HfiDevice& device_;
-  DriverLayouts layouts_;
+  dwarf::LayoutTable layouts_;
   dwarf::ModuleBinary module_;
 
   std::vector<mem::PhysAddr> engine_images_;

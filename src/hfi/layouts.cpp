@@ -1,112 +1,13 @@
 #include "src/hfi/layouts.hpp"
 
-#include <algorithm>
-#include <map>
-
-#include "src/dwarf/constants.hpp"
-#include "src/dwarf/writer.hpp"
-
 namespace pd::hfi {
 
-namespace {
-
-using dwarf::VersionShift;
-
-std::vector<VersionShift> shifts_for(const std::string& version) {
-  if (version == "10.8-0") return {};
-  if (version == "10.9-5")
-    return {{"sdma_state", 8, 8},        // new tracing member before current_state
-            {"hfi1_filedata", 16, 4}};   // widened flags word
-  if (version == "11.0-2")
-    return {{"sdma_state", 8, 16},
-            {"hfi1_filedata", 16, 8},
-            {"hfi1_ctxtdata", 24, 8},
-            {"sdma_engine", 32, 16}};
-  return {};  // caller validated the version
-}
-
-bool known_version(const std::string& v) {
-  return v == "10.8-0" || v == "10.9-5" || v == "11.0-2";
-}
-
-/// Baseline ("10.8-0") layouts. Offsets follow natural alignment with gaps
-/// standing in for the many fields the model does not need.
-std::vector<StructDef> baseline_structs() {
-  std::vector<StructDef> out;
-
-  out.push_back(StructDef{
-      "sdma_state",
-      64,
-      {
-          {"goto_count", 0, 8, "u64"},
-          {"current_state", 40, 4, "enum sdma_states"},
-          {"go_s99_running", 48, 4, "u32"},
-          {"previous_state", 52, 4, "enum sdma_states"},
-      }});
-
-  out.push_back(StructDef{
-      "sdma_engine",
-      256,
-      {
-          {"this_idx", 16, 4, "u32"},
-          {"descq_cnt", 24, 4, "u32"},
-          {"descq_submitted", 32, 8, "u64"},
-          {"state", 64, 64, "struct sdma_state"},
-      }});
-
-  out.push_back(StructDef{
-      "hfi1_filedata",
-      128,
-      {
-          {"ctxt", 0, 4, "u32"},
-          {"subctxt", 4, 2, "u16"},
-          {"sdma_engine_idx", 8, 4, "u32"},
-          {"flags", 16, 8, "u64"},
-          {"tid_used", 40, 8, "u64"},
-      }});
-
-  out.push_back(StructDef{
-      "hfi1_ctxtdata",
-      192,
-      {
-          {"ctxt", 8, 4, "u32"},
-          {"expected_base", 16, 4, "u32"},
-          {"expected_count", 20, 4, "u32"},
-          {"flags", 24, 8, "u64"},
-          {"rcv_egr_count", 48, 8, "u64"},
-      }});
-
-  return out;
-}
-
-}  // namespace
-
-Result<DriverLayouts> DriverLayouts::for_version(const std::string& version) {
-  if (!known_version(version)) return Errno::enoent;
-  DriverLayouts layouts;
-  layouts.version_ = version;
-  layouts.structs_ = baseline_structs();
-  dwarf::apply_shifts(layouts.structs_, shifts_for(version));
-  return layouts;
-}
-
-const StructDef* DriverLayouts::structure(const std::string& name) const {
-  auto it = std::find_if(structs_.begin(), structs_.end(),
-                         [&](const StructDef& s) { return s.name == name; });
-  return it == structs_.end() ? nullptr : &*it;
-}
-
-dwarf::ModuleBinary DriverLayouts::ship_module() const {
-  using dwarf::InfoBuilder;
-  using dwarf::TypeRef;
-
-  InfoBuilder b;
-  const TypeRef u16 = b.add_base_type("short unsigned int", 2, dwarf::DW_ATE_unsigned);
-  const TypeRef u32 = b.add_base_type("unsigned int", 4, dwarf::DW_ATE_unsigned);
-  const TypeRef u64 = b.add_base_type("long unsigned int", 8, dwarf::DW_ATE_unsigned);
-
-  const TypeRef sdma_states =
-      b.add_enum("sdma_states", 4,
+const dwarf::LayoutSpec& layout_spec() {
+  static const dwarf::LayoutSpec spec{
+      .module = "hfi1",
+      .producer = "Intel(R) OPA driver build",
+      .enums = {{"sdma_states",
+                 4,
                  {{"sdma_state_s00_hw_down", 0},
                   {"sdma_state_s10_hw_start_up_halt_wait", 1},
                   {"sdma_state_s15_hw_start_up_clean_wait", 2},
@@ -116,43 +17,63 @@ dwarf::ModuleBinary DriverLayouts::ship_module() const {
                   {"sdma_state_s50_hw_halt_wait", 6},
                   {"sdma_state_s60_idle_halt_wait", 7},
                   {"sdma_state_s80_hw_freeze", 8},
-                  {"sdma_state_s99_running", 9}});
+                  {"sdma_state_s99_running", 9}}}},
+      // Baseline ("10.8-0") layouts. Offsets follow natural alignment with
+      // gaps standing in for the many fields the model does not need.
+      .structs = {
+          dwarf::StructDef{
+              "sdma_state",
+              64,
+              {
+                  {"goto_count", 0, 8, "u64"},
+                  {"current_state", 40, 4, "enum sdma_states"},
+                  {"go_s99_running", 48, 4, "u32"},
+                  {"previous_state", 52, 4, "enum sdma_states"},
+              }},
 
-  std::map<std::string, TypeRef> named_types;  // struct name → ref
-  auto type_for = [&](const std::string& type_name) -> TypeRef {
-    if (type_name == "u16") return u16;
-    if (type_name == "u32") return u32;
-    if (type_name == "u64") return u64;
-    if (type_name == "enum sdma_states") return sdma_states;
-    if (type_name.rfind("struct ", 0) == 0) {
-      const std::string sname = type_name.substr(7);
-      auto it = named_types.find(sname);
-      if (it != named_types.end()) return it->second;
-    }
-    return u64;  // unreachable for the defined layouts
+          dwarf::StructDef{
+              "sdma_engine",
+              256,
+              {
+                  {"this_idx", 16, 4, "u32"},
+                  {"descq_cnt", 24, 4, "u32"},
+                  {"descq_submitted", 32, 8, "u64"},
+                  {"state", 64, 64, "struct sdma_state"},
+              }},
+
+          dwarf::StructDef{
+              "hfi1_filedata",
+              128,
+              {
+                  {"ctxt", 0, 4, "u32"},
+                  {"subctxt", 4, 2, "u16"},
+                  {"sdma_engine_idx", 8, 4, "u32"},
+                  {"flags", 16, 8, "u64"},
+                  {"tid_used", 40, 8, "u64"},
+              }},
+
+          dwarf::StructDef{
+              "hfi1_ctxtdata",
+              192,
+              {
+                  {"ctxt", 8, 4, "u32"},
+                  {"expected_base", 16, 4, "u32"},
+                  {"expected_count", 20, 4, "u32"},
+                  {"flags", 24, 8, "u64"},
+                  {"rcv_egr_count", 48, 8, "u64"},
+              }},
+      },
+      .releases = {{"10.8-0", {}},
+                   {"10.9-5",
+                    {{"sdma_state", 8, 8},        // new tracing member before current_state
+                     {"hfi1_filedata", 16, 4}}},  // widened flags word
+                   {"11.0-2",
+                    {{"sdma_state", 8, 16},
+                     {"hfi1_filedata", 16, 8},
+                     {"hfi1_ctxtdata", 24, 8},
+                     {"sdma_engine", 32, 16}}}},
   };
-
-  // Emit in declaration order so embedded structs resolve (sdma_state is
-  // declared before sdma_engine in baseline_structs()).
-  for (const auto& s : structs_) {
-    std::vector<InfoBuilder::Member> members;
-    members.reserve(s.fields.size());
-    for (const auto& f : s.fields)
-      members.push_back(InfoBuilder::Member{f.name, type_for(f.type_name), f.offset});
-    named_types[s.name] = b.add_struct(s.name, s.byte_size, std::move(members));
-  }
-
-  // Real modules keep their strings in .debug_str (DW_FORM_strp).
-  const dwarf::DebugInfo dbg =
-      b.build("Intel(R) OPA driver build " + version_, "hfi1.ko", dwarf::StringForm::strp);
-
-  dwarf::ModuleBinary mod;
-  mod.set_version("hfi1 " + version_);
-  mod.set_section(".text", std::vector<std::uint8_t>(64, 0x90));  // stub
-  mod.set_section(".debug_abbrev", dbg.abbrev);
-  mod.set_section(".debug_info", dbg.info);
-  mod.set_section(".debug_str", dbg.str);
-  return mod;
+  return spec;
 }
 
 }  // namespace pd::hfi

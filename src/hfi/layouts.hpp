@@ -1,23 +1,18 @@
-// Driver structure layouts, versioned like vendor releases.
+// HFI1 driver structure layouts, versioned like vendor releases.
 //
 // The driver's internal structures (`hfi1_filedata`, `hfi1_ctxtdata`,
 // `sdma_engine`, `sdma_state`) live as raw byte images in the Linux kernel
-// heap. The *driver* accesses them through the compiled-in layout table
-// below. The *PicoDriver* never sees this header: it learns the same
-// offsets by running dwarf-extract-struct over the module binary that
-// `ship_module()` produces — which is how the paper survives vendor
-// updates that shuffle fields (§3.2). Each version here deliberately moves
-// fields around to exercise exactly that.
+// heap. The *driver* accesses them through the dwarf::LayoutTable it builds
+// from the spec below. The *PicoDriver* never sees this header: it learns
+// the same offsets by running dwarf-extract-struct over the module binary
+// that `LayoutTable::ship_module()` produces — which is how the paper
+// survives vendor updates that shuffle fields (§3.2). Each release here
+// deliberately moves fields around to exercise exactly that.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
 
-#include "src/common/status.hpp"
 #include "src/dwarf/layout_table.hpp"
-#include "src/dwarf/module_binary.hpp"
 
 namespace pd::hfi {
 
@@ -35,29 +30,7 @@ enum class SdmaStates : std::uint32_t {
   s99_running = 9,
 };
 
-// The layout-table primitives are driver-agnostic (shared with src/doom/);
-// keep the historical hfi:: spellings as aliases.
-using FieldDef = dwarf::FieldDef;
-using StructDef = dwarf::StructDef;
-
-/// The layout table for one driver release.
-class DriverLayouts {
- public:
-  /// Known versions: "10.8-0", "10.9-5", "11.0-2". Unknown versions fail.
-  static Result<DriverLayouts> for_version(const std::string& version);
-
-  const std::string& version() const { return version_; }
-  const StructDef* structure(const std::string& name) const;
-
-  /// Produce the shipped module binary: .text stub, .modinfo version, and
-  /// real DWARF debug info describing every structure above.
-  dwarf::ModuleBinary ship_module() const;
-
- private:
-  std::string version_;
-  std::vector<StructDef> structs_;
-};
-
-using StructImage = dwarf::StructImage;
+/// The hfi1 module's structures in releases "10.8-0", "10.9-5" and "11.0-2".
+const dwarf::LayoutSpec& layout_spec();
 
 }  // namespace pd::hfi

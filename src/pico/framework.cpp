@@ -12,9 +12,10 @@ Result<PicoBinding> PicoBinding::bind(os::McKernel& mck, os::LinuxKernel& linux_
   binding.linux_ = &linux_kernel;
 
   // (1) Address-space unification (§3.1).
-  binding.unification_ = mem::check_unification(linux_kernel.layout(), mck.layout());
-  if (!binding.unification_.unified()) {
-    for (const auto& v : binding.unification_.violations)
+  const mem::UnificationReport unification =
+      mem::check_unification(linux_kernel.layout(), mck.layout());
+  if (!unification.unified()) {
+    for (const auto& v : unification.violations)
       PD_LOG(error) << "picodriver bind: " << v;
     return Errno::eperm;
   }
@@ -29,12 +30,7 @@ Result<PicoBinding> PicoBinding::bind(os::McKernel& mck, os::LinuxKernel& linux_
   if (mck.spinlock_abi() != linux_kernel.spinlock_abi()) return Errno::enosys;
 
   // (3) DWARF structure extraction from the shipped binary (§3.2).
-  const auto* abbrev = module.section(".debug_abbrev");
-  const auto* info = module.section(".debug_info");
-  if (abbrev == nullptr || info == nullptr) return Errno::enoent;
-  static const std::vector<std::uint8_t> kNoStr;
-  const auto* str = module.section(".debug_str");
-  auto view = dwarf::DebugInfoView::parse(*abbrev, *info, str != nullptr ? *str : kNoStr);
+  auto view = module.debug_info();
   if (!view.ok()) return view.error();
   binding.view_ = std::make_shared<dwarf::DebugInfoView>(std::move(*view));
 

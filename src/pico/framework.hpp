@@ -45,7 +45,6 @@ class PicoBinding {
                                   const dwarf::ModuleBinary& module,
                                   const std::vector<StructRequest>& requests);
 
-  const mem::UnificationReport& unification() const { return unification_; }
   const std::string& driver_version() const { return driver_version_; }
 
   /// Extracted layout for a bound structure (nullptr if not requested).
@@ -58,7 +57,6 @@ class PicoBinding {
   /// only because bind() reserved the vmap_area (§3.1 requirement 3).
   os::KernelCallback lwk_callback(std::function<void()> fn) const;
 
-  os::McKernel& mckernel() const { return *mck_; }
   os::LinuxKernel& linux_kernel() const { return *linux_; }
 
  private:
@@ -66,7 +64,6 @@ class PicoBinding {
 
   os::McKernel* mck_ = nullptr;
   os::LinuxKernel* linux_ = nullptr;
-  mem::UnificationReport unification_;
   std::string driver_version_;
   std::map<std::string, dwarf::StructLayout> layouts_;
   // Keep the parsed view alive for generated_header().

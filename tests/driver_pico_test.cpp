@@ -125,13 +125,13 @@ TEST(LayoutVersions, ExtractedOffsetsMatchDriverForEveryVersion) {
     const auto& layouts = node.driver->layouts();
     for (const char* sname :
          {"sdma_state", "sdma_engine", "hfi1_filedata", "hfi1_ctxtdata"}) {
-      const hfi::StructDef* truth = layouts.structure(sname);
+      const dwarf::StructDef* truth = layouts.structure(sname);
       const dwarf::StructLayout* bound = node.pico->binding().layout(sname);
       ASSERT_NE(truth, nullptr);
       ASSERT_NE(bound, nullptr) << sname << " " << version;
       EXPECT_EQ(bound->byte_size, truth->byte_size) << sname << " " << version;
       for (const auto& f : bound->fields) {
-        const hfi::FieldDef* tf = truth->field(f.name);
+        const dwarf::FieldDef* tf = truth->field(f.name);
         ASSERT_NE(tf, nullptr);
         EXPECT_EQ(f.offset, tf->offset) << sname << "." << f.name << " @ " << version;
         EXPECT_EQ(f.size, tf->size) << sname << "." << f.name << " @ " << version;
@@ -142,12 +142,12 @@ TEST(LayoutVersions, ExtractedOffsetsMatchDriverForEveryVersion) {
 }
 
 TEST(LayoutVersions, OffsetsActuallyDifferAcrossVersions) {
-  auto l1 = hfi::DriverLayouts::for_version("10.8-0");
-  auto l2 = hfi::DriverLayouts::for_version("11.0-2");
+  auto l1 = dwarf::LayoutTable::for_version(hfi::layout_spec(), "10.8-0");
+  auto l2 = dwarf::LayoutTable::for_version(hfi::layout_spec(), "11.0-2");
   ASSERT_TRUE(l1.ok() && l2.ok());
   EXPECT_NE(l1->structure("sdma_state")->field("current_state")->offset,
             l2->structure("sdma_state")->field("current_state")->offset);
-  EXPECT_FALSE(hfi::DriverLayouts::for_version("9.9-9").ok());
+  EXPECT_EQ(dwarf::LayoutTable::for_version(hfi::layout_spec(), "9.9-9").error(), Errno::enoent);
 }
 
 TEST(PicoBind, FailsOnOriginalVaLayout) {
@@ -883,14 +883,13 @@ TEST(Writev, EngineNotRunningFallsBackToLinuxPath) {
   auto& node = c.nodes[0];
   // Force every engine's state away from s99_running via the driver's own
   // layout view (vendor reset in progress).
-  const auto* eng_def = node.driver->layouts().structure("sdma_engine");
-  const auto* state_def = node.driver->layouts().structure("sdma_state");
+  const dwarf::LayoutTable& layouts = node.driver->layouts();
   for (int i = 0; i < node.device->num_engines(); ++i) {
     auto bytes = node.linux_kernel->kheap().data(node.driver->sdma_engine_image(i));
-    hfi::StructImage state(
-        bytes.subspan(eng_def->field("state")->offset, state_def->byte_size), state_def);
-    state.write<std::uint32_t>("current_state",
-                               static_cast<std::uint32_t>(hfi::SdmaStates::s50_hw_halt_wait));
+    layouts.image(bytes, "sdma_engine")
+        .member("state", *layouts.structure("sdma_state"))
+        .write<std::uint32_t>("current_state",
+                              static_cast<std::uint32_t>(hfi::SdmaStates::s50_hw_halt_wait));
   }
   const auto out = do_writev(c, *proc, 64_KiB);
   ASSERT_TRUE(out.result.ok());

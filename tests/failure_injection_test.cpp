@@ -4,8 +4,6 @@
 // survive.
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "bench/bench_common.hpp"
 #include "src/common/units.hpp"
 #include "src/doom/driver.hpp"
@@ -33,12 +31,10 @@ using namespace pd::time_literals;
 /// driver's own layout view.
 void set_engine_state(hfi::HfiDriver& driver, os::LinuxKernel& linux_kernel, int engine_id,
                       hfi::SdmaStates state) {
-  const auto* eng_def = driver.layouts().structure("sdma_engine");
-  const auto* state_def = driver.layouts().structure("sdma_state");
-  auto bytes = linux_kernel.kheap().data(driver.sdma_engine_image(engine_id));
-  hfi::StructImage img(bytes.subspan(eng_def->field("state")->offset, state_def->byte_size),
-                       state_def);
-  img.write<std::uint32_t>("current_state", static_cast<std::uint32_t>(state));
+  const dwarf::LayoutTable& layouts = driver.layouts();
+  layouts.image(linux_kernel.kheap().data(driver.sdma_engine_image(engine_id)), "sdma_engine")
+      .member("state", *layouts.structure("sdma_state"))
+      .write<std::uint32_t>("current_state", static_cast<std::uint32_t>(state));
 }
 
 TEST(FailureInjection, EngineResetMidRunFallsBackAndRecovers) {
@@ -570,10 +566,8 @@ TEST(FailureInjection, BindRejectsModuleMissingAField) {
   dwarf::InfoBuilder b;
   auto u32 = b.add_base_type("unsigned int", 4, dwarf::DW_ATE_unsigned);
   b.add_struct("unrelated", 8, {{"x", u32, 0}});
-  auto dbg = b.build("p", "m");
   dwarf::ModuleBinary module;
-  module.set_section(".debug_abbrev", dbg.abbrev);
-  module.set_section(".debug_info", dbg.info);
+  module.set_debug_info(b.build("p", "m"));
 
   auto binding = pico::PicoBinding::bind(mck, linux_kernel, module,
                                          {{"sdma_state", {"current_state"}}});
@@ -607,32 +601,24 @@ TEST(FailureInjection, BindRejectsMissingDebugSections) {
   EXPECT_EQ(binding.error(), Errno::enoent);
 }
 
-/// Debug info for `structs` (in declaration order, embedded structs first)
-/// as a module would ship it, except that the field named
-/// "<struct>.<field>" by `narrowed` is declared a 2-byte integer. The
-/// layout still extracts; only the field's width changed.
-dwarf::ModuleBinary ship_module(const std::vector<dwarf::StructDef>& structs,
-                                const std::string& narrowed = "") {
-  dwarf::InfoBuilder b;
-  const auto u16 = b.add_base_type("short unsigned int", 2, dwarf::DW_ATE_unsigned);
-  const auto u32 = b.add_base_type("unsigned int", 4, dwarf::DW_ATE_unsigned);
-  const auto u64 = b.add_base_type("long unsigned int", 8, dwarf::DW_ATE_unsigned);
-  std::map<std::string, dwarf::TypeRef> defined;
-  for (const dwarf::StructDef& s : structs) {
-    std::vector<dwarf::InfoBuilder::Member> members;
-    for (const auto& f : s.fields) {
-      dwarf::TypeRef type = f.size == 8 ? u64 : f.size == 2 ? u16 : u32;
-      if (f.type_name.rfind("struct ", 0) == 0) type = defined.at(f.type_name.substr(7));
-      if (s.name + "." + f.name == narrowed) type = u16;
-      members.push_back({f.name, type, f.offset});
-    }
-    defined[s.name] = b.add_struct(s.name, s.byte_size, std::move(members));
-  }
-  const auto dbg = b.build("p", "m");
-  dwarf::ModuleBinary module;
-  module.set_section(".debug_abbrev", dbg.abbrev);
-  module.set_section(".debug_info", dbg.info);
-  return module;
+/// The module `spec`'s baseline release ships once `edit` has changed its
+/// struct `sname`: debug info that no longer matches the driver's own table.
+template <typename Edit>
+dwarf::ModuleBinary ship_edited(dwarf::LayoutSpec spec, const std::string& sname, Edit edit) {
+  for (dwarf::StructDef& s : spec.structs)
+    if (s.name == sname) edit(s);
+  return dwarf::LayoutTable::for_version(spec, spec.releases.front().version)->ship_module();
+}
+
+/// `spec` shipped with the field named "<struct>.<field>" by `narrowed`
+/// declared a 2-byte integer. The layout still extracts; only the field's
+/// width changed.
+dwarf::ModuleBinary ship_narrowed(const dwarf::LayoutSpec& spec, const std::string& narrowed) {
+  const std::size_t dot = narrowed.find('.');
+  return ship_edited(spec, narrowed.substr(0, dot), [&](dwarf::StructDef& s) {
+    for (dwarf::FieldDef& f : s.fields)
+      if (f.name == narrowed.substr(dot + 1)) f = {f.name, f.offset, 2, "u16"};
+  });
 }
 
 /// HfiPicoDriver::create() against the driver's module re-shipped with
@@ -646,12 +632,9 @@ Errno hfi_create_with_narrowed(const std::string& narrowed) {
   hfi::HfiDriver driver(linux_kernel, device, "10.8-0");
   os::Ihk ihk(engine, cfg, linux_kernel);
   os::McKernel mck(engine, cfg, ihk, true);
-  const auto& layouts = driver.layouts();
   // The driver's module member is not const; only its getter is.
-  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_module(
-      {*layouts.structure("sdma_state"), *layouts.structure("sdma_engine"),
-       *layouts.structure("hfi1_filedata"), *layouts.structure("hfi1_ctxtdata")},
-      narrowed);
+  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) =
+      ship_narrowed(hfi::layout_spec(), narrowed);
   auto pico = pico::HfiPicoDriver::create(mck, driver);
   return pico.ok() ? Errno::ok : pico.error();
 }
@@ -666,11 +649,8 @@ Errno doom_create_with_narrowed(const std::string& narrowed) {
   doom::DoomDriver driver(linux_kernel, device, "0.9-d6");
   os::Ihk ihk(engine, cfg, linux_kernel);
   os::McKernel mck(engine, cfg, ihk, true);
-  const auto& layouts = driver.layouts();
-  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_module(
-      {*layouts.structure("doom_ringstate"), *layouts.structure("doom_devdata"),
-       *layouts.structure("doom_ctx")},
-      narrowed);
+  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) =
+      ship_narrowed(doom::layout_spec(), narrowed);
   auto pico = pico::DoomPicoDriver::create(mck, driver);
   return pico.ok() ? Errno::ok : pico.error();
 }
@@ -697,17 +677,6 @@ TEST(FailureInjection, DoomFastPathRejectsFieldNarrowerThanItsAccessor) {
   EXPECT_EQ(doom_create_with_narrowed("doom_devdata.ring"), Errno::einval);
 }
 
-/// `s` declared `byte_size` bytes long with `field` moved to `offset`: a
-/// module whose debug info describes a larger structure than the block the
-/// driver allocates for it. The field keeps its width, so it binds.
-dwarf::StructDef declared_larger(dwarf::StructDef s, const std::string& field,
-                                 std::uint64_t offset, std::uint64_t byte_size) {
-  s.byte_size = byte_size;
-  for (auto& f : s.fields)
-    if (f.name == field) f.offset = offset;
-  return s;
-}
-
 TEST(FailureInjection, HfiFastPathRejectsImageSmallerThanDeclaredStruct) {
   // The module declares hfi1_filedata as 4 KiB with tid_used at offset
   // 4000. The accessor stays inside the declared structure, but the
@@ -721,12 +690,13 @@ TEST(FailureInjection, HfiFastPathRejectsImageSmallerThanDeclaredStruct) {
   hfi::HfiDriver driver(linux_kernel, device, "10.8-0");
   os::Ihk ihk(engine, cfg, linux_kernel);
   os::McKernel mck(engine, cfg, ihk, true);
-  const auto& layouts = driver.layouts();
-  ASSERT_LT(layouts.structure("hfi1_filedata")->byte_size, 4000u);
-  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_module(
-      {*layouts.structure("sdma_state"), *layouts.structure("sdma_engine"),
-       declared_larger(*layouts.structure("hfi1_filedata"), "tid_used", 4000, 4096),
-       *layouts.structure("hfi1_ctxtdata")});
+  ASSERT_LT(driver.layouts().structure("hfi1_filedata")->byte_size, 4000u);
+  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) =
+      ship_edited(hfi::layout_spec(), "hfi1_filedata", [](dwarf::StructDef& s) {
+        s.byte_size = 4096;
+        for (dwarf::FieldDef& f : s.fields)
+          if (f.name == "tid_used") f.offset = 4000;
+      });
   auto pico = pico::HfiPicoDriver::create(mck, driver);
   ASSERT_TRUE(pico.ok());
 
@@ -759,11 +729,13 @@ TEST(FailureInjection, DoomFastPathRejectsImageSmallerThanDeclaredStruct) {
   doom::DoomDriver driver(linux_kernel, device, "0.9-d6");
   os::Ihk ihk(engine, cfg, linux_kernel);
   os::McKernel mck(engine, cfg, ihk, true);
-  const auto& layouts = driver.layouts();
-  ASSERT_LT(layouts.structure("doom_ctx")->byte_size, 4000u);
-  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) = ship_module(
-      {*layouts.structure("doom_ringstate"), *layouts.structure("doom_devdata"),
-       declared_larger(*layouts.structure("doom_ctx"), "batches_submitted", 4000, 4096)});
+  ASSERT_LT(driver.layouts().structure("doom_ctx")->byte_size, 4000u);
+  const_cast<dwarf::ModuleBinary&>(driver.module_binary()) =
+      ship_edited(doom::layout_spec(), "doom_ctx", [](dwarf::StructDef& s) {
+        s.byte_size = 4096;
+        for (dwarf::FieldDef& f : s.fields)
+          if (f.name == "batches_submitted") f.offset = 4000;
+      });
   auto pico = pico::DoomPicoDriver::create(mck, driver);
   ASSERT_TRUE(pico.ok());
 

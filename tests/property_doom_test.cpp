@@ -195,8 +195,8 @@ RunOut run_script(const std::vector<BatchSpec>& script, bool fast) {
   out.pt_used_end = rig.device->pt_entries_used(0);
   {
     auto bytes = rig.linux_kernel->kheap().data(rig.driver->devdata_image());
-    doom::StructImage img(bytes, rig.driver->layouts().structure("doom_devdata"));
-    out.cmds_submitted_img = img.read<std::uint64_t>("cmds_submitted");
+    out.cmds_submitted_img =
+        rig.driver->layouts().image(bytes, "doom_devdata").read<std::uint64_t>("cmds_submitted");
   }
   out.pte_programs_slow = rig.driver->pte_programs();
   if (fast) {

@@ -181,8 +181,7 @@ TEST(SharedSpinlock, SameEngineForcedContention) {
     // Force engine 0 through the driver's layout (simulating the shared
     // filedata state both kernels can write).
     auto bytes = linux_kernel.kheap().data(driver.filedata_image(*proc.file(*fd)));
-    hfi::StructImage img(bytes, driver.layouts().structure("hfi1_filedata"));
-    img.write<std::uint32_t>("sdma_engine_idx", 0);
+    driver.layouts().image(bytes, "hfi1_filedata").write<std::uint32_t>("sdma_engine_idx", 0);
     auto buf = co_await proc.mmap_anon(4ull << 20);
     CO_ASSERT_TRUE(buf.ok());
     for (int i = 0; i < 8; ++i)

@@ -9,19 +9,19 @@
 //   dwarf-extract-struct --ship-demo <version> <out.ko>
 //
 // The second form writes the simulated HFI1 module binary for one of the
-// modeled driver releases (10.8-0, 10.9-5, 11.0-2) so the first form has
-// something real to chew on:
+// modeled driver releases (those hfi::layout_spec() lists) so the first
+// form has something real to chew on:
 //
 //   dwarf-extract-struct --ship-demo 10.9-5 hfi1.ko
 //   dwarf-extract-struct hfi1.ko sdma_state current_state go_s99_running
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/dwarf/extract.hpp"
-#include "src/dwarf/module_binary.hpp"
+#include "src/dwarf/layout_table.hpp"
 #include "src/hfi/layouts.hpp"
 
 namespace {
@@ -35,34 +35,40 @@ int usage() {
   return 2;
 }
 
-int dump_module(const std::string& path) {
+/// The parsed debug info of the module binary at `path`; on failure,
+/// prints why to stderr and returns nothing.
+std::optional<pd::dwarf::DebugInfoView> load_debug_info(const std::string& path) {
   auto module = pd::dwarf::ModuleBinary::load(path);
   if (!module.ok()) {
     std::fprintf(stderr, "cannot load module binary %s\n", path.c_str());
-    return 1;
+    return std::nullopt;
   }
-  const auto* abbrev = module->section(".debug_abbrev");
-  const auto* info = module->section(".debug_info");
-  const auto* str = module->section(".debug_str");
-  if (abbrev == nullptr || info == nullptr) {
-    std::fprintf(stderr, "%s has no debug info sections\n", path.c_str());
-    return 1;
-  }
-  static const std::vector<std::uint8_t> kEmpty;
-  auto view = pd::dwarf::DebugInfoView::parse(*abbrev, *info, str != nullptr ? *str : kEmpty);
+  auto view = module->debug_info();
   if (!view.ok()) {
-    std::fprintf(stderr, "malformed debug info in %s\n", path.c_str());
-    return 1;
+    std::fprintf(stderr,
+                 view.error() == pd::Errno::enoent ? "%s has no debug info sections\n"
+                                                   : "malformed debug info in %s\n",
+                 path.c_str());
+    return std::nullopt;
   }
+  return std::move(*view);
+}
+
+int dump_module(const std::string& path) {
+  auto view = load_debug_info(path);
+  if (!view) return 1;
   std::fputs(view->dump().c_str(), stdout);
   return 0;
 }
 
 int ship_demo(const std::string& version, const std::string& path) {
-  auto layouts = pd::hfi::DriverLayouts::for_version(version);
+  const pd::dwarf::LayoutSpec& spec = pd::hfi::layout_spec();
+  auto layouts = pd::dwarf::LayoutTable::for_version(spec, version);
   if (!layouts.ok()) {
-    std::fprintf(stderr, "unknown driver version '%s' (try 10.8-0, 10.9-5, 11.0-2)\n",
-                 version.c_str());
+    std::string known;
+    for (const auto& r : spec.releases) known += (known.empty() ? "" : ", ") + r.version;
+    std::fprintf(stderr, "unknown driver version '%s' (try %s)\n", version.c_str(),
+                 known.c_str());
     return 1;
   }
   const pd::dwarf::ModuleBinary module = layouts->ship_module();
@@ -96,24 +102,8 @@ int main(int argc, char** argv) {
   const std::string& struct_name = args[1];
   const std::vector<std::string> fields(args.begin() + 2, args.end());
 
-  auto module = pd::dwarf::ModuleBinary::load(module_path);
-  if (!module.ok()) {
-    std::fprintf(stderr, "cannot load module binary %s\n", module_path.c_str());
-    return 1;
-  }
-  const auto* abbrev = module->section(".debug_abbrev");
-  const auto* info = module->section(".debug_info");
-  if (abbrev == nullptr || info == nullptr) {
-    std::fprintf(stderr, "%s has no debug info sections\n", module_path.c_str());
-    return 1;
-  }
-  static const std::vector<std::uint8_t> kNoStr;
-  const auto* str = module->section(".debug_str");
-  auto view = pd::dwarf::DebugInfoView::parse(*abbrev, *info, str != nullptr ? *str : kNoStr);
-  if (!view.ok()) {
-    std::fprintf(stderr, "malformed debug info in %s\n", module_path.c_str());
-    return 1;
-  }
+  auto view = load_debug_info(module_path);
+  if (!view) return 1;
   auto header = pd::dwarf::extract_struct_header(*view, struct_name, fields);
   if (!header.ok()) {
     std::fprintf(stderr, "extraction failed: struct '%s' or a requested field not found\n",
