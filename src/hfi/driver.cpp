@@ -215,7 +215,9 @@ sim::Task<Result<long>> HfiDriver::ioctl(os::OpenFile& f, unsigned long cmd, voi
   switch (cmd) {
     case kTidUpdate: {
       auto* args = static_cast<TidUpdateArgs*>(arg);
-      if (args == nullptr || args->length == 0) co_return Errno::einval;
+      if (args == nullptr) co_return Errno::einval;
+      args->tids.clear();  // out: this call's TIDs only, as hfi1's tidlist/tidcnt
+      if (args->length == 0) co_return Errno::einval;
       if (!mem::user_range_ok(args->vaddr, args->length)) co_return Errno::efault;
       mem::AddressSpace& as = f.proc->as();
 

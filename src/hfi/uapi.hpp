@@ -47,7 +47,8 @@ struct SdmaReqHeader {
   std::function<void()> on_complete;    // fired from the completion IRQ path
 };
 
-/// kTidUpdate argument: in = user buffer range, out = programmed TIDs.
+/// kTidUpdate argument: in = user buffer range, out = the TIDs this call
+/// programmed (the driver clears `tids` first, so it may be reused).
 struct TidUpdateArgs {
   mem::VirtAddr vaddr = 0;
   std::uint64_t length = 0;

@@ -1,63 +1,47 @@
 #include "src/hw/rcv_array.hpp"
 
-#include <new>
-#include <span>
-
 namespace pd::hw {
-
-RcvArray::RcvArray(std::uint32_t entries)
-    : capacity_(entries),
-      entries_(static_cast<TidEntry*>(std::calloc(entries, sizeof(TidEntry)))) {
-  if (entries_ == nullptr && entries != 0) throw std::bad_alloc();
-}
 
 Result<std::uint32_t> RcvArray::program(int ctxt, mem::PhysAddr pa, std::uint64_t len) {
   if (len == 0) return Errno::einval;
-  const std::uint32_t n = capacity();
-  if (in_use_ == n) return Errno::enospc;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t tid = (next_hint_ + i) % n;
-    if (!entries_[tid].valid) {
-      entries_[tid] = TidEntry{pa, len, true, ctxt};
-      next_hint_ = (tid + 1) % n;
-      ++in_use_;
-      ++per_ctxt_[ctxt];
-      return tid;
-    }
+  if (in_use() == capacity_) return Errno::enospc;
+  const TidEntry e{pa, len, true, ctxt};
+  if (free_.empty()) {
+    table_.push_back(e);
+    return static_cast<std::uint32_t>(table_.size() - 1);
   }
-  return Errno::enospc;
+  const std::uint32_t tid = free_.back();
+  free_.pop_back();
+  table_[tid] = e;
+  return tid;
 }
 
 Status RcvArray::unprogram(int ctxt, std::uint32_t tid) {
-  if (tid >= capacity()) return Errno::einval;
-  TidEntry& e = entries_[tid];
+  if (tid >= table_.size()) return Errno::einval;
+  TidEntry& e = table_[tid];
   if (!e.valid || e.owner_ctxt != ctxt) return Errno::einval;
   e = TidEntry{};
-  --in_use_;
-  --per_ctxt_[ctxt];
+  free_.push_back(tid);
   return Status::success();
 }
 
 std::size_t RcvArray::unprogram_all(int ctxt) {
-  // Skip the scan when the context holds nothing (the common case at
-  // close time, after PSM freed everything).
-  auto it = per_ctxt_.find(ctxt);
-  if (it == per_ctxt_.end() || it->second == 0) return 0;
+  // A scan, but of the TIDs handed out so far, not of the hardware table.
   std::size_t freed = 0;
-  for (TidEntry& e : std::span(entries_.get(), capacity_)) {
+  for (std::uint32_t tid = 0; tid < table_.size(); ++tid) {
+    TidEntry& e = table_[tid];
     if (e.valid && e.owner_ctxt == ctxt) {
       e = TidEntry{};
-      --in_use_;
+      free_.push_back(tid);
       ++freed;
     }
   }
-  it->second = 0;
   return freed;
 }
 
 const TidEntry* RcvArray::entry(std::uint32_t tid) const {
-  if (tid >= capacity() || !entries_[tid].valid) return nullptr;
-  return &entries_[tid];
+  if (tid >= table_.size() || !table_[tid].valid) return nullptr;
+  return &table_[tid];
 }
 
 }  // namespace pd::hw

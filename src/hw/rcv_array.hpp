@@ -4,21 +4,22 @@
 // User space registers buffers via ioctl(); the driver translates them to
 // entries and programs the hardware; incoming expected packets consult the
 // TID and place data directly into application memory (no eager copy).
+//
+// The model stores only the entries it has handed out: `program` reuses the
+// most recently freed TID and appends a fresh entry only when none is free,
+// so the table grows to the peak number of TIDs live at once, not to the
+// hardware's `capacity()`. TID numbers are opaque handles; nothing simulated
+// reads their values.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <map>
-#include <memory>
-#include <optional>
+#include <vector>
 
 #include "src/common/status.hpp"
 #include "src/mem/types.hpp"
 
 namespace pd::hw {
 
-/// An aggregate, so it can live in calloc'd storage: all-zero bytes read
-/// as a free entry (`valid == false`), the same as `TidEntry{}`.
 struct TidEntry {
   mem::PhysAddr pa = 0;
   std::uint64_t len = 0;
@@ -28,9 +29,8 @@ struct TidEntry {
 
 class RcvArray {
  public:
-  /// The table comes from calloc, which leaves pages fresh from the kernel
-  /// untouched until a TID is first programmed on them.
-  explicit RcvArray(std::uint32_t entries);
+  /// `entries` is the hardware table's size: ENOSPC once that many are live.
+  explicit RcvArray(std::uint32_t entries) : capacity_(entries) {}
 
   /// Program a free entry; returns the TID index.
   Result<std::uint32_t> program(int ctxt, mem::PhysAddr pa, std::uint64_t len);
@@ -43,18 +43,12 @@ class RcvArray {
 
   const TidEntry* entry(std::uint32_t tid) const;
   std::uint32_t capacity() const { return capacity_; }
-  std::uint32_t in_use() const { return in_use_; }
+  std::uint32_t in_use() const { return static_cast<std::uint32_t>(table_.size() - free_.size()); }
 
  private:
-  struct Free {
-    void operator()(TidEntry* p) const { std::free(p); }
-  };
-
   std::uint32_t capacity_;
-  std::unique_ptr<TidEntry[], Free> entries_;
-  std::map<int, std::uint32_t> per_ctxt_;  // live entries per context
-  std::uint32_t in_use_ = 0;
-  std::uint32_t next_hint_ = 0;
+  std::vector<TidEntry> table_;      // every TID handed out so far, live or freed
+  std::vector<std::uint32_t> free_;  // freed TIDs, the most recent last
 };
 
 }  // namespace pd::hw

@@ -39,7 +39,6 @@ class Process {
   bool on_lwk() const { return mck_ != nullptr; }
   Kernel& kernel() { return on_lwk() ? static_cast<Kernel&>(*mck_) : *linux_; }
   LinuxKernel& linux_kernel() { return on_lwk() ? mck_->ihk().linux_kernel() : *linux_; }
-  McKernel* mckernel() { return mck_; }
 
   mem::AddressSpace& as() { return *as_; }
   int node() const { return node_; }

@@ -214,7 +214,9 @@ sim::Task<Result<long>> HfiPicoDriver::fast_ioctl(os::OpenFile& f, unsigned long
     case hfi::kTidUpdate: {
       ++fast_tid_updates_;
       auto* args = static_cast<hfi::TidUpdateArgs*>(arg);
-      if (args == nullptr || args->length == 0) co_return Errno::einval;
+      if (args == nullptr) co_return Errno::einval;
+      args->tids.clear();  // out: this call's TIDs only, as on the Linux path
+      if (args->length == 0) co_return Errno::einval;
       const mem::Vma* vma = as.find_vma(args->vaddr);
       if (vma == nullptr || !vma->pinned) co_return Errno::efault;
 

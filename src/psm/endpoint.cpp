@@ -287,7 +287,6 @@ sim::Task<> Endpoint::grant_window(PsmHandle recv, const hw::RxEvent& rts,
                  Result<long> rr = Errno::enospc;
                  for (int attempt = 0; attempt < 20000; ++attempt) {
                    co_await self->engine_.delay(5'000'000);  // 5 µs backoff
-                   retry.tids.clear();
                    rr = co_await self->proc_.ioctl(self->fd_, hfi::kTidUpdate, &retry);
                    if (rr.ok() || rr.error() != Errno::enospc) break;
                  }

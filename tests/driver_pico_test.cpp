@@ -5,6 +5,7 @@
 // callbacks and remote frees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/common/units.hpp"
@@ -348,6 +349,50 @@ TEST(Tid, WrappingRangeFaultsOnBothPaths) {
   }
 }
 
+TEST(Tid, UpdateReportsOnlyThisCallsTids) {
+  // TID_UPDATE's `tids` is an out-vector, as hfi1's tidlist/tidcnt: a
+  // caller that reuses one TidUpdateArgs gets the second call's TIDs and
+  // count only, so freeing them leaves the first call's entries live.
+  for (const os::OsMode mode : {os::OsMode::linux, os::OsMode::mckernel_hfi}) {
+    SCOPED_TRACE(mode == os::OsMode::linux ? "linux" : "mckernel_hfi");
+    MiniCluster c(1, mode);
+    auto proc = c.make_process(0, 0, mode);
+    sim::spawn(c.engine, [](MiniCluster& cl, os::Process& p) -> sim::Task<> {
+      const hw::RcvArray& rcv = cl.nodes[0].device->rcv_array();
+      auto fd = co_await p.open(hfi::kDeviceName);
+      CO_ASSERT_TRUE(fd.ok());
+      auto buf1 = co_await p.mmap_anon(16_KiB);
+      CO_ASSERT_TRUE(buf1.ok());
+      auto buf2 = co_await p.mmap_anon(8_KiB);
+      CO_ASSERT_TRUE(buf2.ok());
+      hfi::TidUpdateArgs args;
+      args.vaddr = *buf1;
+      args.length = 16_KiB;
+      CO_ASSERT_TRUE((co_await p.ioctl(*fd, hfi::kTidUpdate, &args)).ok());
+      const std::vector<std::uint32_t> first = args.tids;
+      CO_ASSERT_TRUE(!first.empty());
+
+      args.vaddr = *buf2;
+      args.length = 8_KiB;
+      auto r = co_await p.ioctl(*fd, hfi::kTidUpdate, &args);
+      CO_ASSERT_TRUE(r.ok());
+      EXPECT_EQ(static_cast<std::size_t>(*r), args.tids.size());
+      EXPECT_EQ(rcv.in_use(), first.size() + args.tids.size())
+          << "the second call reports only the entries it programmed";
+      for (const std::uint32_t tid : first)
+        EXPECT_EQ(std::count(args.tids.begin(), args.tids.end(), tid), 0)
+            << "the first call's TID " << tid << " is reported again";
+
+      hfi::TidFreeArgs free_args;
+      free_args.tids = args.tids;
+      CO_ASSERT_TRUE((co_await p.ioctl(*fd, hfi::kTidFree, &free_args)).ok());
+      EXPECT_EQ(rcv.in_use(), first.size());
+      for (const std::uint32_t tid : first) EXPECT_NE(rcv.entry(tid), nullptr) << tid;
+    }(c, *proc));
+    c.engine.run();
+  }
+}
+
 TEST(Tid, PicoQuotaEvictionRecyclesOwnShareOnly) {
   // Fast-path registrations share the per-context RcvArray quota and its
   // reclamation policy with the Linux path: at quota the tenant's own LRU
@@ -386,13 +431,18 @@ TEST(Tid, PicoQuotaEvictionRecyclesOwnShareOnly) {
       atids.push_back(*t);
     }
     EXPECT_EQ(cl.nodes[0].device->rcv_array().in_use(), 5u);
+    const hw::TidEntry* oldest = cl.nodes[0].device->rcv_array().entry(atids[0]);
+    CO_ASSERT_TRUE(oldest != nullptr);
+    const mem::PhysAddr victim = oldest->pa;
 
     auto extra = co_await reg(a, *fda);  // one entry over quota
     CO_ASSERT_TRUE(extra.ok());
     EXPECT_EQ(cl.nodes[0].mck->profiler().counter("pico.tid.quota_evict"), 1u);
     EXPECT_EQ(cl.nodes[0].device->rcv_array().in_use(), 5u)
         << "net share unchanged: own LRU out, new entry in";
-    EXPECT_EQ(cl.nodes[0].device->rcv_array().entry(atids[0]), nullptr)
+    // The freed TID may already hold the new registration's extent.
+    const hw::TidEntry* recycled = cl.nodes[0].device->rcv_array().entry(atids[0]);
+    EXPECT_TRUE(recycled == nullptr || recycled->pa != victim)
         << "the tenant's oldest registration is the victim";
     const auto* be = cl.nodes[0].device->rcv_array().entry(*btid);
     CO_ASSERT_TRUE(be != nullptr);

@@ -2,6 +2,8 @@
 // descriptor processing and completion order, RcvArray, device delivery.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <set>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -210,8 +212,9 @@ TEST(RcvArrayTest, ExhaustionAndOwnership) {
 }
 
 TEST(RcvArrayTest, FreshArrayHasNoValidEntry) {
-  // The table starts as zeroed storage, so all-zero bytes must read as a
-  // free entry — whichever context (0 included) asks.
+  // A fresh array has handed out no TID: no index up to its capacity may
+  // read as an entry or be unprogrammed, whichever context (0 included)
+  // asks.
   RcvArray arr(HfiConfig{}.rcv_array_entries);
   for (std::uint32_t tid = 0; tid < arr.capacity(); ++tid) {
     ASSERT_EQ(arr.entry(tid), nullptr) << tid;
@@ -220,6 +223,46 @@ TEST(RcvArrayTest, FreshArrayHasNoValidEntry) {
   }
   EXPECT_EQ(arr.in_use(), 0u);
   EXPECT_EQ(arr.unprogram_all(0), 0u);
+}
+
+TEST(RcvArrayTest, ChurnReusesFreedTids) {
+  // Freed TIDs are handed out again before any fresh one: a context that
+  // never holds more than three entries only ever sees TIDs 0-2, however
+  // long it churns through a table of the hardware's size.
+  auto churn = [](RcvArray& arr, int rounds) {
+    std::deque<std::uint32_t> live;
+    for (int round = 0; round < rounds; ++round) {
+      if (live.size() == 3) {
+        ASSERT_TRUE(arr.unprogram(0, live.front()).ok()) << round;
+        live.pop_front();
+      }
+      auto tid = arr.program(0, 0x1000, 4096);
+      ASSERT_TRUE(tid.ok()) << round;
+      ASSERT_LT(*tid, 3u) << round;
+      live.push_back(*tid);
+    }
+    EXPECT_EQ(arr.in_use(), 3u);
+  };
+  RcvArray big(HfiConfig{}.rcv_array_entries);
+  ASSERT_NO_FATAL_FAILURE(churn(big, 10'000));
+
+  // After the same churn a small array still fills to capacity, with
+  // distinct TIDs below it, and then refuses with ENOSPC.
+  RcvArray small(6);
+  ASSERT_NO_FATAL_FAILURE(churn(small, 10'000));
+  std::set<std::uint32_t> seen;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    auto tid = small.program(1, 0x1000, 4096);
+    ASSERT_TRUE(tid.ok()) << i;
+    EXPECT_LT(*tid, small.capacity());
+    seen.insert(*tid);
+  }
+  EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(small.in_use(), small.capacity());
+  EXPECT_EQ(small.program(1, 0x1000, 4096).error(), Errno::enospc);
+  EXPECT_EQ(small.unprogram_all(0), 3u);
+  EXPECT_EQ(small.unprogram_all(1), 3u);
+  EXPECT_EQ(small.in_use(), 0u);
 }
 
 TEST(RcvArrayTest, RejectsZeroLength) {

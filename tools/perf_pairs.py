@@ -13,7 +13,10 @@ first run.
 
 Prints, per pair, the parent/change values of the end-to-end metrics
 (END_TO_END), then their medians and the change/parent ratio of the
-medians. With --sim-diff it also runs one `--trace 1` pair on seed S0 and
+medians, then the numbers the benchmark's acceptance rule reads: the
+parent's quartiles (Q1 .. Q3) and in how many pairs the change won, that
+is, beat the parent in the direction BENCHMARK.json's `better` gives for
+the metric. With --sim-diff it also runs one `--trace 1` pair on seed S0 and
 compares the two through tools/sim_diff.py. Exit status: 1 when any run is
 not `correct`, reports failures or prints no result line, or when sim_diff
 finds a difference; 2 when <rev> cannot be exported; 0 otherwise.
@@ -66,9 +69,32 @@ def shown(v):
     return "-" if v is None else f"{v:.4g}"
 
 
+def directions():
+    """{metric: "lower" or "higher"}: which way each end-to-end metric improves."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def quartiles(values):
+    """(Q1, Q3) of `values`, interpolated inclusively; (None, None) when empty."""
+    if len(values) < 2:
+        return (values[0], values[0]) if values else (None, None)
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def wins(pairs, metric, better):
+    """(pairs the change won, pairs where both sides reported `metric`)."""
+    both = [(value(p, metric), value(c, metric)) for _, _, p, c in pairs]
+    both = [(p, c) for p, c in both if p is not None and c is not None]
+    won = sum(1 for p, c in both if (c < p if better == "lower" else c > p))
+    return won, len(both)
+
+
 def summary(pairs):
     """Table lines for `pairs`, a list of (seed, first, parent, change) with
     `first` naming the side that ran first and parent/change result objects."""
+    better = directions()
     width = 21
     head = f"{'pair':>4} {'seed':>6} {'first':<7}" + "".join(
         f" {m + ' p/c':>{width}}" for m in END_TO_END)
@@ -78,7 +104,7 @@ def summary(pairs):
             f" {shown(value(parent, m)) + ' / ' + shown(value(change, m)):>{width}}"
             for m in END_TO_END)
         lines.append(f"{i:>4} {seed:>6} {first:<7}{cells}")
-    medians, ratios = "", ""
+    medians, ratios, spreads, won = "", "", "", ""
     for m in END_TO_END:
         p = [v for v in (value(r, m) for _, _, r, _ in pairs) if v is not None]
         c = [v for v in (value(r, m) for _, _, _, r in pairs) if v is not None]
@@ -87,8 +113,14 @@ def summary(pairs):
         medians += f" {shown(pm) + ' / ' + shown(cm):>{width}}"
         ratio = cm / pm if pm and cm is not None else None
         ratios += f" {shown(ratio):>{width}}"
+        q1, q3 = quartiles(p)
+        spreads += f" {shown(q1) + ' .. ' + shown(q3):>{width}}"
+        n_won, n = wins(pairs, m, better[m])
+        won += f" {f'{n_won}/{n} ' + better[m]:>{width}}"
     lines.append(f"{'median':<19}{medians}")
     lines.append(f"{'change/parent':<19}{ratios}")
+    lines.append(f"{'parent Q1 .. Q3':<19}{spreads}")
+    lines.append(f"{'change won':<19}{won}")
     return lines
 
 

@@ -53,14 +53,17 @@ class ProblemsTest(unittest.TestCase):
 
 class SummaryTest(unittest.TestCase):
     def pairs(self):
-        # (seed, first, parent, change): change is 2x faster on every pair.
-        return [(1, "parent", result(4.0, 1.0e6, rss=200.0), result(2.0, 2.0e6, rss=100.0)),
-                (2, "change", result(3.0, 0.8e6, rss=210.0), result(1.5, 1.6e6, rss=110.0)),
+        # (seed, first, parent, change): change is 2x faster on every pair;
+        # its setup_s wins one pair, loses one and ties one.
+        return [(1, "parent", result(4.0, 1.0e6, rss=200.0),
+                 result(2.0, 2.0e6, setup=0.09, rss=100.0)),
+                (2, "change", result(3.0, 0.8e6, rss=210.0),
+                 result(1.5, 1.6e6, setup=0.11, rss=110.0)),
                 (3, "parent", result(5.0, 1.2e6, rss=190.0), result(2.5, 2.4e6, rss=90.0))]
 
     def test_one_row_per_pair_then_medians_and_ratios(self):
         lines = perf_pairs.summary(self.pairs())
-        self.assertEqual(len(lines), 1 + 3 + 2)
+        self.assertEqual(len(lines), 1 + 3 + 4)
         for metric in perf_pairs.END_TO_END:
             self.assertIn(metric, lines[0])
         self.assertTrue(lines[2].split()[:3] == ["2", "2", "change"])
@@ -71,6 +74,19 @@ class SummaryTest(unittest.TestCase):
         self.assertEqual(ratios[0], "change/parent")
         self.assertEqual(ratios[1:], ["0.5", "2", "1", "0.5"])
 
+    def test_parent_quartiles_and_pairs_won(self):
+        lines = perf_pairs.summary(self.pairs())
+        self.assertTrue(lines[6].startswith("parent Q1 .. Q3"))
+        # Parent wall_s (4, 3, 5), events_per_s (1, 0.8, 1.2) M and
+        # peak_rss_mb (200, 210, 190): Q1 and Q3 halfway to the extremes.
+        self.assertEqual(lines[6].split()[4:], ["3.5", "..", "4.5", "9e+05", "..", "1.1e+06",
+                                                "0.1", "..", "0.1", "195", "..", "205"])
+        # A win is a lower wall_s, setup_s and peak_rss_mb but a higher
+        # events_per_s (BENCHMARK.json's `better`); a tie is no win.
+        self.assertTrue(lines[7].startswith("change won"))
+        self.assertEqual(lines[7].split()[2:], ["3/3", "lower", "3/3", "higher",
+                                                "1/3", "lower", "3/3", "lower"])
+
     def test_missing_side_shows_a_dash(self):
         pairs = self.pairs()
         pairs[1] = (2, "change", None, pairs[1][3])
@@ -78,6 +94,9 @@ class SummaryTest(unittest.TestCase):
         self.assertIn("- / 1.5", lines[2])
         # Medians come from the runs that reported: (4, 5) -> 4.5 vs (2, 1.5, 2.5) -> 2.
         self.assertIn("4.5 / 2", lines[4])
+        # So do the quartiles, and only pairs with both sides count as won.
+        self.assertEqual(lines[6].split()[4:7], ["4.25", "..", "4.75"])
+        self.assertEqual(lines[7].split()[2:4], ["2/2", "lower"])
 
 
 if __name__ == "__main__":
