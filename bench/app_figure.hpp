@@ -1,9 +1,8 @@
 // Helper for the weak-scaling application figures (Figs. 5, 6, 7): run one
-// proxy across the node axis in all three OS modes and print relative
+// paper app across the node axis in all three OS modes and print relative
 // performance to Linux (the paper's y-axis; Linux = 100%).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -12,33 +11,17 @@
 
 namespace pd::bench {
 
-struct AppFigureSpec {
-  const char* name;
-  int ranks_per_node;
-  std::uint64_t buf_bytes;
-  /// Build the per-rank program.
-  std::function<sim::Task<>(mpirt::Rank&)> body;
-};
-
-inline apps::RunOutcome run_point(const AppFigureSpec& spec, os::OsMode mode, int nodes) {
-  mpirt::ClusterOptions copts;
-  copts.nodes = nodes;
-  copts.mode = mode;
-  copts.mcdram_bytes = 1ull << 30;
-  copts.ddr_bytes = 2ull << 30;
-  mpirt::WorldOptions wopts;
-  wopts.ranks_per_node = spec.ranks_per_node;
-  wopts.buf_bytes = spec.buf_bytes;
-  return apps::run_app(copts, wopts, spec.body);
-}
-
 /// Print the figure: one row per node count, Linux at 100%.
-inline void print_app_figure(const AppFigureSpec& spec, const std::vector<int>& nodes) {
+inline void print_app_figure(apps::App app, const std::vector<int>& nodes) {
+  const apps::PaperApp& spec = apps::paper_app(app);
   TextTable table({"Nodes", "Ranks", "Linux", "McKernel", "McKernel+HFI1",
                    "Linux s", "McK s", "HFI s"});
   for (int n : nodes) {
     std::map<os::OsMode, apps::RunOutcome> res;
-    for (os::OsMode mode : all_modes()) res[mode] = run_point(spec, mode, n);
+    for (os::OsMode mode : all_modes()) {
+      const apps::PaperPoint point = apps::paper_point(app, n, mode);
+      res[mode] = apps::run_app(point.cluster, point.world, spec.body);
+    }
     const double linux_s = res[os::OsMode::linux].runtime_sec;
     auto rel = [&](os::OsMode m) {
       return format_double(100.0 * linux_s / res[m].runtime_sec, 1) + "%";
@@ -49,7 +32,7 @@ inline void print_app_figure(const AppFigureSpec& spec, const std::vector<int>& 
                    format_double(res[os::OsMode::mckernel].runtime_sec, 4),
                    format_double(res[os::OsMode::mckernel_hfi].runtime_sec, 4)});
   }
-  std::printf("%s — relative performance to Linux (higher is better)\n%s\n", spec.name,
+  std::printf("%s — relative performance to Linux (higher is better)\n%s\n", spec.label,
               table.to_string().c_str());
 }
 

@@ -11,26 +11,17 @@ int main() {
   bench::print_banner("Ablation — Linux service CPUs vs offload collapse (UMT2013, 8 nodes)",
                       "4 CPUs for 32 ranks is the paper's squeeze; more CPUs relieve it");
 
-  UmtParams umt;
-  auto body = [umt](mpirt::Rank& r) { return umt_rank(r, umt); };
+  const auto body = paper_app(App::umt).body;
 
   // Linux baseline (service CPU count is irrelevant for native syscalls).
-  mpirt::ClusterOptions base;
-  base.nodes = 8;
-  base.mode = os::OsMode::linux;
-  base.mcdram_bytes = 1ull << 30;
-  base.ddr_bytes = 2ull << 30;
-  mpirt::WorldOptions wopts;
-  wopts.ranks_per_node = kUmtRpn;
-  wopts.buf_bytes = 1ull << 20;
-  const double linux_sec = run_app(base, wopts, body).runtime_sec;
+  const PaperPoint base = paper_point(App::umt, 8, os::OsMode::linux);
+  const double linux_sec = run_app(base.cluster, base.world, body).runtime_sec;
 
   TextTable table({"Service CPUs", "McKernel s", "vs Linux", "Queue p95 us"});
   for (int cpus : {1, 2, 4, 8, 16}) {
-    mpirt::ClusterOptions copts = base;
-    copts.mode = os::OsMode::mckernel;
-    copts.cfg.linux_service_cpus = cpus;
-    auto out = run_app(copts, wopts, body);
+    PaperPoint point = paper_point(App::umt, 8, os::OsMode::mckernel);
+    point.cluster.cfg.linux_service_cpus = cpus;
+    auto out = run_app(point.cluster, point.world, body);
     table.add_row({std::to_string(cpus), format_double(out.runtime_sec, 4),
                    format_double(100.0 * linux_sec / out.runtime_sec, 1) + "%",
                    format_double(out.offload_queue.p95_us, 1)});

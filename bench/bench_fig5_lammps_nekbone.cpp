@@ -9,22 +9,13 @@
 
 int main() {
   using namespace pd;
-  using namespace pd::apps;
 
   bench::print_banner("Figure 5a — LAMMPS weak scaling (64 ranks/node)",
                       "McKernel ≈ Linux; McKernel+HFI1 similar or slightly ahead");
-  LammpsParams lammps;
-  bench::AppFigureSpec lammps_spec{
-      "LAMMPS", kLammpsRpn, 512ull << 10,
-      [lammps](mpirt::Rank& r) { return lammps_rank(r, lammps); }};
-  bench::print_app_figure(lammps_spec, bench::node_axis(256));
+  bench::print_app_figure(apps::App::lammps, bench::node_axis(256));
 
   bench::print_banner("Figure 5b — Nekbone weak scaling (32 ranks/node)",
                       "small McKernel win (noise-free cores); HFI1 does not regress");
-  NekboneParams nekbone;
-  bench::AppFigureSpec nekbone_spec{
-      "Nekbone", kNekboneRpn, 512ull << 10,
-      [nekbone](mpirt::Rank& r) { return nekbone_rank(r, nekbone); }};
-  bench::print_app_figure(nekbone_spec, bench::node_axis(256));
+  bench::print_app_figure(apps::App::nekbone, bench::node_axis(256));
   return 0;
 }

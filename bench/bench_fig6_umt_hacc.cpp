@@ -9,22 +9,13 @@
 
 int main() {
   using namespace pd;
-  using namespace pd::apps;
 
   bench::print_banner("Figure 6a — UMT2013 weak scaling (32 ranks/node)",
                       "McKernel < 20% of Linux beyond 4 nodes; McKernel+HFI1 up to +20%");
-  UmtParams umt;
-  bench::AppFigureSpec umt_spec{
-      "UMT2013", kUmtRpn, 1ull << 20,
-      [umt](mpirt::Rank& r) { return umt_rank(r, umt); }};
-  bench::print_app_figure(umt_spec, bench::node_axis(256));
+  bench::print_app_figure(apps::App::umt, bench::node_axis(256));
 
   bench::print_banner("Figure 6b — HACC weak scaling (32 ranks/node)",
                       "McKernel ~71% of Linux on average; McKernel+HFI1 wins");
-  HaccParams hacc;
-  bench::AppFigureSpec hacc_spec{
-      "HACC", kHaccRpn, 2ull << 20,
-      [hacc](mpirt::Rank& r) { return hacc_rank(r, hacc); }};
-  bench::print_app_figure(hacc_spec, bench::node_axis(128));
+  bench::print_app_figure(apps::App::hacc, bench::node_axis(128));
   return 0;
 }

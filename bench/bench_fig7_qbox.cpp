@@ -8,13 +8,9 @@
 
 int main() {
   using namespace pd;
-  using namespace pd::apps;
 
   bench::print_banner("Figure 7 — QBOX weak scaling (32 ranks/node, ≥4 nodes)",
                       "McKernel ≈ Linux; McKernel+HFI1 up to +30%");
-  QboxParams qbox;
-  bench::AppFigureSpec spec{"QBOX", kQboxRpn, 4ull << 20,
-                            [qbox](mpirt::Rank& r) { return qbox_rank(r, qbox); }};
-  bench::print_app_figure(spec, bench::node_axis(256, /*min_nodes=*/4));
+  bench::print_app_figure(apps::App::qbox, bench::node_axis(256, /*min_nodes=*/4));
   return 0;
 }

@@ -10,8 +10,6 @@
 //   * for QBOX with the PicoDriver, munmap() dominates what remains — the
 //     McKernel memory-management shortcoming the paper flags as future
 //     work.
-#include <map>
-
 #include "bench/bench_common.hpp"
 #include "src/apps/proxies.hpp"
 
@@ -26,27 +24,17 @@ struct KernelBreakdown {
   ikc::QueueingSummary queue;
 };
 
-KernelBreakdown run_mode(os::OsMode mode, const std::function<sim::Task<>(mpirt::Rank&)>& body,
-                         int rpn, std::uint64_t buf_bytes) {
-  mpirt::ClusterOptions copts;
-  copts.nodes = 8;
-  copts.mode = mode;
-  copts.mcdram_bytes = 1ull << 30;
-  copts.ddr_bytes = 2ull << 30;
-  mpirt::WorldOptions wopts;
-  wopts.ranks_per_node = rpn;
-  wopts.buf_bytes = buf_bytes;
-  auto out = run_app(copts, wopts, body);
+KernelBreakdown run_mode(App app, os::OsMode mode) {
+  const PaperPoint point = paper_point(app, 8, mode);
+  auto out = run_app(point.cluster, point.world, paper_app(app).body);
   return KernelBreakdown{std::move(out.kernel), out.offloads, out.offload_queue};
 }
 
-void print_figure(const char* figure, const char* app,
-                  const std::function<sim::Task<>(mpirt::Rank&)>& body, int rpn,
-                  std::uint64_t buf_bytes) {
-  const auto mck = run_mode(os::OsMode::mckernel, body, rpn, buf_bytes);
-  const auto hfi = run_mode(os::OsMode::mckernel_hfi, body, rpn, buf_bytes);
+void print_figure(const char* figure, App app) {
+  const auto mck = run_mode(app, os::OsMode::mckernel);
+  const auto hfi = run_mode(app, os::OsMode::mckernel_hfi);
 
-  std::printf("--- %s: %s syscall breakdown (8 nodes) ---\n", figure, app);
+  std::printf("--- %s: %s syscall breakdown (8 nodes) ---\n", figure, paper_app(app).label);
   const char* calls[] = {"read", "open", "mmap", "munmap", "ioctl", "writev", "nanosleep"};
   TextTable table({"Syscall", "McKernel %", "McKernel+HFI1 %"});
   for (const char* call : calls) {
@@ -129,11 +117,7 @@ int main() {
   bench::print_banner("Figures 8 & 9 — kernel-profiler syscall breakdowns",
                       "HFI1 kernel time 7%/25% of McKernel's; ioctl+writev >70% -> <30%; "
                       "munmap dominates QBOX+HFI1");
-  UmtParams umt;
-  print_figure("Figure 8", "UMT2013", [umt](mpirt::Rank& r) { return umt_rank(r, umt); },
-               kUmtRpn, 1ull << 20);
-  QboxParams qbox;
-  print_figure("Figure 9", "QBOX", [qbox](mpirt::Rank& r) { return qbox_rank(r, qbox); },
-               kQboxRpn, 4ull << 20);
+  print_figure("Figure 8", App::umt);
+  print_figure("Figure 9", App::qbox);
   return compare_transports();
 }

@@ -86,8 +86,6 @@ apps::RunOutcome run_cell(const AppSpec& app, os::OsMode mode, int nodes,
   mpirt::ClusterOptions copts;
   copts.nodes = nodes;
   copts.mode = mode;
-  copts.mcdram_bytes = 1ull << 30;
-  copts.ddr_bytes = 2ull << 30;
   copts.cfg.linux_noise = profile;      // the sweep axis
   copts.cfg.lwk_noise = os::NoiseProfile::none();
   copts.cfg.noise_seed ^= seed_salt * 0x9E3779B97F4A7C15ull;

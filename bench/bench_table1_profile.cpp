@@ -7,8 +7,6 @@
 //     Linux and McKernel+HFI1 for UMT2013/HACC (bold in the paper);
 //   * MPI_Init is *largest* on McKernel+HFI1 (italic in the paper): the
 //     PicoDriver pays extra setup in exchange for fast-path wins later.
-#include <map>
-
 #include "bench/bench_common.hpp"
 #include "src/apps/proxies.hpp"
 
@@ -17,26 +15,12 @@ namespace {
 using namespace pd;
 using namespace pd::apps;
 
-RunOutcome run_profiled(os::OsMode mode, const char* app,
-                        const std::function<sim::Task<>(mpirt::Rank&)>& body, int rpn,
-                        std::uint64_t buf_bytes) {
-  (void)app;
-  mpirt::ClusterOptions copts;
-  copts.nodes = 8;
-  copts.mode = mode;
-  copts.mcdram_bytes = 1ull << 30;
-  copts.ddr_bytes = 2ull << 30;
-  mpirt::WorldOptions wopts;
-  wopts.ranks_per_node = rpn;
-  wopts.buf_bytes = buf_bytes;
-  return run_app(copts, wopts, body);
-}
-
-void print_profile(const char* app, const std::function<sim::Task<>(mpirt::Rank&)>& body,
-                   int rpn, std::uint64_t buf_bytes) {
-  std::printf("--- %s (8 nodes, %d ranks/node) ---\n", app, rpn);
+void print_profile(App app) {
+  const PaperApp& spec = paper_app(app);
+  std::printf("--- %s (8 nodes, %d ranks/node) ---\n", spec.label, spec.ranks_per_node);
   for (os::OsMode mode : bench::all_modes()) {
-    const RunOutcome out = run_profiled(mode, app, body, rpn, buf_bytes);
+    const PaperPoint point = paper_point(app, 8, mode);
+    const RunOutcome out = run_app(point.cluster, point.world, spec.body);
     TextTable table({"Call (MPI_)", "Time ms", "% MPI", "% Rt"});
     for (const auto& row : out.mpi.rows(5)) {
       table.add_row({row.call, format_double(row.time_ms, 2),
@@ -53,14 +37,8 @@ int main() {
       "Table 1 — communication profile on 8 compute nodes",
       "top-5 MPI calls; MPI_Wait explodes on McKernel, MPI_Init largest on +HFI1");
 
-  UmtParams umt;
-  print_profile("UMT2013", [umt](mpirt::Rank& r) { return umt_rank(r, umt); }, kUmtRpn,
-                1ull << 20);
-  HaccParams hacc;
-  print_profile("HACC", [hacc](mpirt::Rank& r) { return hacc_rank(r, hacc); }, kHaccRpn,
-                1ull << 20);
-  QboxParams qbox;
-  print_profile("QBOX", [qbox](mpirt::Rank& r) { return qbox_rank(r, qbox); }, kQboxRpn,
-                4ull << 20);
+  print_profile(App::umt);
+  print_profile(App::hacc);
+  print_profile(App::qbox);
   return 0;
 }

@@ -8,23 +8,14 @@
 using namespace pd;
 
 int main() {
-  apps::UmtParams umt;
-  std::printf("UMT2013 sweep proxy, 4 nodes x %d ranks\n\n", apps::kUmtRpn);
+  const apps::PaperApp& umt = apps::paper_app(apps::App::umt);
+  std::printf("UMT2013 sweep proxy, 4 nodes x %d ranks\n\n", umt.ranks_per_node);
 
   double linux_sec = 0;
   for (os::OsMode mode :
        {os::OsMode::linux, os::OsMode::mckernel, os::OsMode::mckernel_hfi}) {
-    mpirt::ClusterOptions copts;
-    copts.nodes = 4;
-    copts.mode = mode;
-    copts.mcdram_bytes = 1ull << 30;
-    copts.ddr_bytes = 2ull << 30;
-    mpirt::WorldOptions wopts;
-    wopts.ranks_per_node = apps::kUmtRpn;
-    wopts.buf_bytes = 1ull << 20;
-
-    const auto out =
-        apps::run_app(copts, wopts, [umt](mpirt::Rank& r) { return apps::umt_rank(r, umt); });
+    const apps::PaperPoint point = apps::paper_point(apps::App::umt, 4, mode);
+    const auto out = apps::run_app(point.cluster, point.world, umt.body);
     if (mode == os::OsMode::linux) linux_sec = out.runtime_sec;
 
     std::printf("--- %s ---\n", to_string(mode));

@@ -46,7 +46,4 @@ struct FftParams {
 sim::Task<> stencil_rank(mpirt::Rank& rank, StencilParams params);
 sim::Task<> fft_rank(mpirt::Rank& rank, FftParams params);
 
-constexpr int kStencilRpn = 32;
-constexpr int kFftRpn = 32;
-
 }  // namespace pd::apps

@@ -262,4 +262,36 @@ sim::Task<> qbox_rank(mpirt::Rank& rank, QboxParams params) {
   co_await rank.finalize();
 }
 
+namespace {
+
+// Indexed by App.
+constexpr PaperApp kPaperApps[] = {
+    {"LAMMPS", "lammps", kLammpsRpn, 512_KiB,
+     [](mpirt::Rank& r) { return lammps_rank(r, {}); }},
+    {"Nekbone", "nekbone", kNekboneRpn, 512_KiB,
+     [](mpirt::Rank& r) { return nekbone_rank(r, {}); }},
+    {"UMT2013", "umt", kUmtRpn, 1_MiB, [](mpirt::Rank& r) { return umt_rank(r, {}); }},
+    {"HACC", "hacc", kHaccRpn, 2_MiB, [](mpirt::Rank& r) { return hacc_rank(r, {}); }},
+    {"QBOX", "qbox", kQboxRpn, 4_MiB, [](mpirt::Rank& r) { return qbox_rank(r, {}); }},
+};
+
+}  // namespace
+
+const PaperApp& paper_app(App app) { return kPaperApps[static_cast<int>(app)]; }
+
+std::optional<App> app_named(std::string_view name) {
+  for (int i = 0; i < static_cast<int>(std::size(kPaperApps)); ++i)
+    if (name == kPaperApps[i].name) return static_cast<App>(i);
+  return std::nullopt;
+}
+
+PaperPoint paper_point(App app, int nodes, os::OsMode mode) {
+  PaperPoint point;
+  point.cluster.nodes = nodes;
+  point.cluster.mode = mode;
+  point.world.ranks_per_node = paper_app(app).ranks_per_node;
+  point.world.buf_bytes = paper_app(app).buf_bytes;
+  return point;
+}
+
 }  // namespace pd::apps

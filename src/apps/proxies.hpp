@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "src/apps/runner.hpp"
 #include "src/common/time.hpp"
@@ -76,5 +78,33 @@ constexpr int kNekboneRpn = 32;
 constexpr int kUmtRpn = 32;
 constexpr int kHaccRpn = 32;
 constexpr int kQboxRpn = 32;
+
+/// The paper's five apps, in figure order.
+enum class App { lammps, nekbone, umt, hacc, qbox };
+
+/// How the paper runs one app (§4.1–4.2): every figure, table and tool
+/// that runs it at a paper point reads it from here.
+struct PaperApp {
+  const char* label;        // figure label ("UMT2013")
+  const char* name;         // pdcluster --app name ("umt")
+  int ranks_per_node;
+  std::uint64_t buf_bytes;  // per-direction comm buffer
+  sim::Task<> (*body)(mpirt::Rank&);  // the rank program, default parameters
+};
+
+/// `app`'s row of the table.
+const PaperApp& paper_app(App app);
+
+/// The app whose pdcluster name is `name`.
+std::optional<App> app_named(std::string_view name);
+
+/// One point of the paper's sweeps: `nodes` KNL nodes of ClusterOptions'
+/// default memory in `mode`, each running the app's ranks and buffer.
+struct PaperPoint {
+  mpirt::ClusterOptions cluster;
+  mpirt::WorldOptions world;
+};
+
+PaperPoint paper_point(App app, int nodes, os::OsMode mode);
 
 }  // namespace pd::apps

@@ -5,11 +5,6 @@
 
 namespace pd::log_detail {
 
-LogLevel& global_level() {
-  static LogLevel level = LogLevel::warn;
-  return level;
-}
-
 void emit(LogLevel level, const std::string& msg) {
   static std::mutex mu;
   const char* tag = "?";

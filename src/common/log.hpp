@@ -1,7 +1,8 @@
 // Minimal leveled logger.
 //
-// Simulation components log through a process-global sink; tests lower the
-// level to `error` so ctest output stays readable. Formatting is plain
+// Simulation components log through a process-global sink. The threshold
+// is a compile-time constant, `warn`: a statement below it compiles away,
+// and there is no process-wide level to set. Formatting is plain
 // iostream-into-ostringstream — log calls are off the measured paths (the
 // simulator measures *simulated* time, not wall time), so convenience wins.
 #pragma once
@@ -13,15 +14,14 @@ namespace pd {
 
 enum class LogLevel : int { trace = 0, debug = 1, info = 2, warn = 3, error = 4, off = 5 };
 
+/// Statements below this level are dropped.
+constexpr LogLevel kLogThreshold = LogLevel::warn;
+
 namespace log_detail {
-LogLevel& global_level();
 void emit(LogLevel level, const std::string& msg);
 }  // namespace log_detail
 
-inline void set_log_level(LogLevel level) { log_detail::global_level() = level; }
-inline LogLevel log_level() { return log_detail::global_level(); }
-
-/// Stream-style log statement: `PD_LOG(info) << "booted " << n << " cpus";`
+/// Stream-style log statement: `PD_LOG(warn) << "lost " << n << " chunks";`
 /// The stream body is only evaluated when the level is enabled.
 class LogLine {
  public:
@@ -44,6 +44,6 @@ class LogLine {
 
 }  // namespace pd
 
-#define PD_LOG(severity)                                   \
-  if (::pd::LogLevel::severity < ::pd::log_detail::global_level()) {} else \
+#define PD_LOG(severity)                                           \
+  if constexpr (::pd::LogLevel::severity < ::pd::kLogThreshold) {} else \
     ::pd::LogLine(::pd::LogLevel::severity)

@@ -17,20 +17,14 @@ struct ModeTimes {
   double hfi_s = 0;
 };
 
+/// `app`'s 4-node paper point in each mode, running `body`.
 template <typename Body>
-ModeTimes run_modes(int nodes, int rpn, std::uint64_t buf_bytes, const Body& body) {
+ModeTimes run_modes(apps::App app, const Body& body) {
   ModeTimes t;
   for (os::OsMode mode :
        {os::OsMode::linux, os::OsMode::mckernel, os::OsMode::mckernel_hfi}) {
-    mpirt::ClusterOptions copts;
-    copts.nodes = nodes;
-    copts.mode = mode;
-    copts.mcdram_bytes = 512ull << 20;
-    copts.ddr_bytes = 1ull << 30;
-    mpirt::WorldOptions wopts;
-    wopts.ranks_per_node = rpn;
-    wopts.buf_bytes = buf_bytes;
-    const auto out = apps::run_app(copts, wopts, body);
+    const apps::PaperPoint point = apps::paper_point(app, 4, mode);
+    const auto out = apps::run_app(point.cluster, point.world, body);
     if (mode == os::OsMode::linux)
       t.linux_s = out.runtime_sec;
     else if (mode == os::OsMode::mckernel)
@@ -44,8 +38,8 @@ ModeTimes run_modes(int nodes, int rpn, std::uint64_t buf_bytes, const Body& bod
 TEST(PaperShapes, Fig6aUmtOrderingAtFourNodes) {
   apps::UmtParams umt;
   umt.steps = 1;
-  const auto t = run_modes(4, apps::kUmtRpn, 1ull << 20,
-                           [umt](mpirt::Rank& r) { return apps::umt_rank(r, umt); });
+  const auto t =
+      run_modes(apps::App::umt, [umt](mpirt::Rank& r) { return apps::umt_rank(r, umt); });
   // Plain McKernel collapses; the PicoDriver beats Linux.
   EXPECT_GT(t.mck_s, 1.5 * t.linux_s) << "UMT multi-node collapse missing";
   EXPECT_LT(t.hfi_s, t.linux_s) << "PicoDriver must beat Linux on UMT";
@@ -54,8 +48,8 @@ TEST(PaperShapes, Fig6aUmtOrderingAtFourNodes) {
 TEST(PaperShapes, Fig6bHaccOrderingAtFourNodes) {
   apps::HaccParams hacc;
   hacc.steps = 2;
-  const auto t = run_modes(4, apps::kHaccRpn, 2ull << 20,
-                           [hacc](mpirt::Rank& r) { return apps::hacc_rank(r, hacc); });
+  const auto t =
+      run_modes(apps::App::hacc, [hacc](mpirt::Rank& r) { return apps::hacc_rank(r, hacc); });
   EXPECT_GT(t.mck_s, 1.1 * t.linux_s) << "HACC degradation missing";
   EXPECT_LT(t.mck_s, 3.0 * t.linux_s) << "HACC must degrade, not collapse like UMT";
   EXPECT_LE(t.hfi_s, 1.02 * t.linux_s) << "PicoDriver HACC at or above Linux";
@@ -64,7 +58,7 @@ TEST(PaperShapes, Fig6bHaccOrderingAtFourNodes) {
 TEST(PaperShapes, Fig5LammpsParityAtFourNodes) {
   apps::LammpsParams lammps;
   lammps.steps = 3;
-  const auto t = run_modes(4, apps::kLammpsRpn, 512ull << 10,
+  const auto t = run_modes(apps::App::lammps,
                            [lammps](mpirt::Rank& r) { return apps::lammps_rank(r, lammps); });
   // PIO-path app: every mode within a few percent.
   EXPECT_NEAR(t.mck_s / t.linux_s, 1.0, 0.06);
@@ -74,8 +68,8 @@ TEST(PaperShapes, Fig5LammpsParityAtFourNodes) {
 TEST(PaperShapes, Fig7QboxOrderingAtFourNodes) {
   apps::QboxParams qbox;
   qbox.scf_iterations = 2;
-  const auto t = run_modes(4, apps::kQboxRpn, 4ull << 20,
-                           [qbox](mpirt::Rank& r) { return apps::qbox_rank(r, qbox); });
+  const auto t =
+      run_modes(apps::App::qbox, [qbox](mpirt::Rank& r) { return apps::qbox_rank(r, qbox); });
   // McKernel mildly behind, PicoDriver ahead of both.
   EXPECT_GT(t.mck_s, t.linux_s);
   EXPECT_LT(t.mck_s, 1.6 * t.linux_s) << "QBOX must not collapse like UMT";
@@ -89,8 +83,6 @@ TEST(PaperShapes, Fig4DescriptorSizesExact) {
     mpirt::ClusterOptions copts;
     copts.nodes = 2;
     copts.mode = mode;
-    copts.mcdram_bytes = 512ull << 20;
-    copts.ddr_bytes = 1ull << 30;
     mpirt::Cluster cluster(copts);
     mpirt::WorldOptions wopts;
     wopts.ranks_per_node = 1;

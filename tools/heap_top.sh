@@ -13,10 +13,12 @@
 #
 #   * the peak live heap: the most bytes malloc'd and not yet freed at any
 #     one moment of the run, and how many blocks held them;
-#   * the top 20 sites at that moment by live bytes. A site is a 3-frame
-#     allocation stack: the first three frames of the simulator's own code
-#     (operator new and other library frames are skipped), symbolized with
-#     `addr2line -f -C` and printed allocating frame first.
+#   * the top 20 sites at that moment by live bytes. The shim records the
+#     first three return addresses in the executable (operator new and other
+#     shared-library frames are skipped); `addr2line -f -C -i` expands each
+#     into its chain of inlined frames. A site is the first three frames of
+#     that expanded stack that are not library code (`std::` or
+#     `__gnu_cxx::`), printed allocating frame first.
 #
 # Workloads: umt_modes, umt_ikc_ring, qbox_churn. Build and benchmark output
 # goes to stderr; the shim's raw table stays in build-heap/heap.txt.
@@ -49,13 +51,14 @@ HEAP_TOP_OUT=$out/heap.txt LD_PRELOAD=$out/heap_shim.so \
   "$out/perfbench" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 "$@" >&2
 [[ -s $out/heap.txt ]] || { echo "$0: the shim wrote no report" >&2; exit 1; }
 
-# Top 20 sites; one addr2line call names all their frames (0 = no frame).
-# awk, not head, ends the pipe: it reads to the end, so sort never gets
-# SIGPIPE (which pipefail would turn into a failure).
+# Top 20 sites; one addr2line call names all their recorded frames (0 = no
+# frame), each as an address line and then a function and location line per
+# inlined frame, innermost first. awk, not head, ends the pipe: it reads to
+# the end, so sort never gets SIGPIPE (which pipefail would turn into a
+# failure).
 tail -n +2 "$out/heap.txt" | sort -k1,1nr | awk 'NR <= 20' > "$out/heap.top"
-awk '{ print $3; print $4; print $5 }' "$out/heap.top" |
-  addr2line -f -C -e "$out/perfbench" |
-  awk 'NR % 2 == 1' > "$out/heap.names"
+awk '{ for (f = 3; f <= 5; ++f) if ($f != "0") print $f }' "$out/heap.top" |
+  addr2line -a -f -C -i -e "$out/perfbench" > "$out/heap.names"
 
 # A name keeps its class and function, not its return type, argument list
 # or template arguments; a coroutine body is `f [actor]`.
@@ -73,7 +76,14 @@ awk -v peak_line="$(head -n 1 "$out/heap.txt")" '
     sub(/operator#/, "operator()", name)
     return name tail
   }
-  NR == FNR { names[FNR] = $0; next }
+  # heap.names: frames[pc, i] is the i-th frame of the pc-th recorded
+  # address, innermost first.
+  NR == FNR {
+    if ($0 ~ /^0x[0-9a-f]+$/) { ++pcs; name_next = 1 }
+    else if (name_next) { frames[pcs, ++depth[pcs]] = $0; name_next = 0 }
+    else name_next = 1
+    next
+  }
   FNR == 1 {
     split(peak_line, p, " ")
     total = p[2]
@@ -82,10 +92,16 @@ awk -v peak_line="$(head -n 1 "$out/heap.txt")" '
   }
   {
     site = ""
-    for (f = 0; f < 3; ++f) {
-      pc = $(3 + f)
-      if (pc == "0") continue
-      site = site (site == "" ? "" : " < ") short(names[3 * (FNR - 1) + f + 1])
+    kept = 0
+    for (f = 3; f <= 5; ++f) {
+      if ($f == "0") continue
+      ++pc
+      for (i = 1; i <= depth[pc] && kept < 3; ++i) {
+        name = short(frames[pc, i])
+        if (name ~ /^(std|__gnu_cxx)::/) continue
+        site = site (site == "" ? "" : " < ") name
+        ++kept
+      }
     }
     printf "%8.2f %6.1f %9d  %s\n", $1 / 1e6, (total > 0 ? 100 * $1 / total : 0), $2, site
   }' "$out/heap.names" "$out/heap.top"

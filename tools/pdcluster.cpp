@@ -1,12 +1,17 @@
-// pdcluster — scenario runner: run one mini-app proxy on a simulated
-// cluster and print the figure-of-merit plus MPI / kernel profiles.
+// pdcluster — scenario runner: run one of the paper's apps at its figure
+// point (ranks per node, comm buffer and node memory from src/apps' table)
+// on a simulated cluster and print the figure-of-merit plus MPI / kernel
+// profiles.
 //
 // Usage:
 //   pdcluster --app umt --nodes 8 --mode mckernel_hfi [--rpn 32]
 //
 // Apps: lammps nekbone umt hacc qbox   Modes: linux mckernel mckernel_hfi
+// --nodes and --rpn take positive integers; --rpn overrides the table.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "src/apps/proxies.hpp"
@@ -22,12 +27,21 @@ int usage() {
   return 2;
 }
 
+/// A flag's value as a positive count; 0 when it is missing or anything else.
+int count(const char* text) {
+  if (text == nullptr) return 0;
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  return ec == std::errc() && ptr == end && value > 0 ? value : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string app = "umt";
+  std::optional<apps::App> app = apps::App::umt;
   int nodes = 8;
-  int rpn = -1;
+  int rpn = 0;  // 0: the table's
   os::OsMode mode = os::OsMode::mckernel_hfi;
 
   for (int i = 1; i < argc; ++i) {
@@ -35,16 +49,14 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (arg == "--app") {
       const char* v = next();
-      if (v == nullptr) return usage();
-      app = v;
+      app = v != nullptr ? apps::app_named(v) : std::nullopt;
+      if (!app) return usage();
     } else if (arg == "--nodes") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      nodes = std::atoi(v);
+      nodes = count(next());
+      if (nodes == 0) return usage();
     } else if (arg == "--rpn") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      rpn = std::atoi(v);
+      rpn = count(next());
+      if (rpn == 0) return usage();
     } else if (arg == "--mode") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -61,43 +73,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  mpirt::ClusterOptions copts;
-  copts.nodes = nodes;
-  copts.mode = mode;
-  copts.mcdram_bytes = 1ull << 30;
-  copts.ddr_bytes = 2ull << 30;
-  mpirt::WorldOptions wopts;
-  wopts.buf_bytes = 4ull << 20;
+  const apps::PaperApp& spec = apps::paper_app(*app);
+  apps::PaperPoint point = apps::paper_point(*app, nodes, mode);
+  if (rpn > 0) point.world.ranks_per_node = rpn;
+  const auto out = apps::run_app(point.cluster, point.world, spec.body);
 
-  std::function<sim::Task<>(mpirt::Rank&)> body;
-  if (app == "lammps") {
-    wopts.ranks_per_node = rpn > 0 ? rpn : apps::kLammpsRpn;
-    apps::LammpsParams p;
-    body = [p](mpirt::Rank& r) { return apps::lammps_rank(r, p); };
-  } else if (app == "nekbone") {
-    wopts.ranks_per_node = rpn > 0 ? rpn : apps::kNekboneRpn;
-    apps::NekboneParams p;
-    body = [p](mpirt::Rank& r) { return apps::nekbone_rank(r, p); };
-  } else if (app == "umt") {
-    wopts.ranks_per_node = rpn > 0 ? rpn : apps::kUmtRpn;
-    apps::UmtParams p;
-    body = [p](mpirt::Rank& r) { return apps::umt_rank(r, p); };
-  } else if (app == "hacc") {
-    wopts.ranks_per_node = rpn > 0 ? rpn : apps::kHaccRpn;
-    apps::HaccParams p;
-    body = [p](mpirt::Rank& r) { return apps::hacc_rank(r, p); };
-  } else if (app == "qbox") {
-    wopts.ranks_per_node = rpn > 0 ? rpn : apps::kQboxRpn;
-    apps::QboxParams p;
-    body = [p](mpirt::Rank& r) { return apps::qbox_rank(r, p); };
-  } else {
-    return usage();
-  }
-
-  const auto out = apps::run_app(copts, wopts, body);
-
-  std::printf("app=%s nodes=%d ranks=%d mode=%s\n", app.c_str(), nodes,
-              nodes * wopts.ranks_per_node, to_string(mode));
+  std::printf("app=%s nodes=%d ranks=%d mode=%s\n", spec.name, nodes,
+              nodes * point.world.ranks_per_node, to_string(mode));
   std::printf("solve time      : %.6f s (simulated)\n", out.runtime_sec);
   std::printf("total time      : %.6f s (incl. Init/Finalize)\n", out.total_sec);
   std::printf("SDMA descriptors: %llu (mean %.0f bytes)\n",

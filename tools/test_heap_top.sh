@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Self-test of tools/heap_top.sh: profiles a 2-node, 4-rank-per-node
 # umt_ikc_ring run (one pass) and checks that the report shows a positive
-# peak live heap and at least one site in the simulator's own code.
+# peak live heap, at least one site in the simulator's own code, and no
+# site frame in library code (inlined std:: frames are named by their
+# owners).
 #
 #   tools/test_heap_top.sh
 set -euo pipefail
@@ -18,4 +20,8 @@ peak=$(awk '/^Peak live heap:/ { print $4 }' <<<"$report")
 [[ -n $peak ]] || fail "no 'Peak live heap' line"
 awk -v mb="$peak" 'BEGIN { exit !(mb > 0) }' || fail "peak live heap is $peak MB"
 grep -q 'pd::' <<<"$report" || fail "no pd:: allocation site in the top 20"
+sites=$(awk '$1 ~ /^[0-9.]+$/ { $1 = $2 = $3 = ""; print }' <<<"$report")
+if grep -qE '(^ *|< )(std|__gnu_cxx)::' <<<"$sites"; then
+  fail "a site names a library frame"
+fi
 echo "test_heap_top: ok (peak $peak MB)"
