@@ -89,7 +89,7 @@ int main() {
               static_cast<unsigned long long>(linux_kernel.callback_faults()));
   std::printf("   LWK remote-free queue: %llu block(s) parked by the Linux CPU\n",
               static_cast<unsigned long long>(mck.kheap().stats().remote_frees));
-  const std::size_t drained = mck.drain_remote_frees();
+  const std::size_t drained = mck.kheap().drain_remote_frees();
   std::printf("   drained on the LWK scheduler tick: %zu block(s)\n\n", drained);
 
   std::printf("== 4. The 3.4 payoff ==\n");

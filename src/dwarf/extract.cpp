@@ -108,9 +108,12 @@ std::string format_decl(const DebugInfoView& view, const Die* type, const std::s
   }
 }
 
-/// Collect auxiliary declarations (enums, opaque structs/unions) that the
-/// extracted field types reference so the generated header is standalone.
-void collect_aux_decls(const DebugInfoView& view, const Die* type,
+/// Collect auxiliary declarations that the extracted field types reference
+/// so the generated header is standalone: an enum's full definition; a
+/// struct or union held by value (`by_value`: no pointer on the way to it)
+/// as a complete type of its DWARF byte size, so a field of that type
+/// compiles; one behind a pointer as a forward declaration.
+void collect_aux_decls(const DebugInfoView& view, const Die* type, bool by_value,
                        std::set<std::string>& emitted, std::ostringstream& out, int depth = 0) {
   if (type == nullptr || depth > kMaxTypeDepth) return;
   switch (type->tag) {
@@ -134,17 +137,24 @@ void collect_aux_decls(const DebugInfoView& view, const Die* type,
       if (!n) return;
       const char* kw = type->tag == DW_TAG_structure_type ? "struct" : "union";
       const std::string key = std::string(kw) + " " + *n;
-      if (emitted.count(key)) return;
-      emitted.insert(key);
-      out << kw << " " << *n << ";\n\n";
+      if (by_value) {
+        // "{}" marks a definition: it may follow a forward declaration.
+        if (!emitted.insert(key + " {}").second) return;
+        emitted.insert(key);
+        out << key << " {\n\tchar whole_struct[" << type_size(view, type) << "];\n};\n\n";
+      } else if (emitted.insert(key).second) {
+        out << key << ";\n\n";
+      }
       return;
     }
     case DW_TAG_pointer_type:
+      collect_aux_decls(view, view.type_of(*type), /*by_value=*/false, emitted, out, depth + 1);
+      return;
     case DW_TAG_array_type:
     case DW_TAG_typedef:
     case DW_TAG_const_type:
     case DW_TAG_volatile_type:
-      collect_aux_decls(view, view.type_of(*type), emitted, out, depth + 1);
+      collect_aux_decls(view, view.type_of(*type), by_value, emitted, out, depth + 1);
       return;
     default:
       return;
@@ -248,7 +258,8 @@ std::string generate_header(const DebugInfoView& view, const StructLayout& layou
   if (struct_die != nullptr) {
     for (const auto& f : layout.fields) {
       const Die* member = find_member(*struct_die, f.name);
-      if (member != nullptr) collect_aux_decls(view, view.type_of(*member), emitted, aux);
+      if (member != nullptr)
+        collect_aux_decls(view, view.type_of(*member), /*by_value=*/true, emitted, aux);
     }
   }
   out << aux.str();

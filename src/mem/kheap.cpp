@@ -26,7 +26,10 @@ KernelHeap::KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy,
       topo_(topo),
       budget_(budget),
       heap_base_(heap_base) {
-  for (int cpu : owned_cpus_) magazines_[cpu];  // one magazine set per core
+  std::sort(owned_cpus_.begin(), owned_cpus_.end());
+  assert(owned_cpus_.empty() || owned_cpus_.front() >= 0);
+  per_cpu_.resize(owned_cpus_.empty() ? 0 : static_cast<std::size_t>(owned_cpus_.back()) + 1);
+  for (int cpu : owned_cpus_) slot(cpu).owned = true;
   near_arenas_.resize(static_cast<std::size_t>(topo_.sockets()));
   far_arenas_.resize(static_cast<std::size_t>(topo_.sockets()));
   for (int s = 0; s < topo_.sockets(); ++s) {
@@ -40,7 +43,7 @@ KernelHeap::KernelHeap(std::vector<int> owned_cpus, ForeignFreePolicy policy,
 }
 
 bool KernelHeap::owns_cpu(int cpu) const {
-  return std::find(owned_cpus_.begin(), owned_cpus_.end(), cpu) != owned_cpus_.end();
+  return cpu >= 0 && static_cast<std::size_t>(cpu) < per_cpu_.size() && slot(cpu).owned;
 }
 
 std::size_t KernelHeap::class_for(std::uint64_t size) {
@@ -107,7 +110,7 @@ Result<PhysAddr> KernelHeap::kmalloc(std::uint64_t size, int cpu) {
 
   const std::size_t cls = class_for(size);
   if (cls < kSizeClasses.size()) {
-    auto& magazine = magazines_[cpu][cls];
+    auto& magazine = slot(cpu).magazines[cls];
     if (!magazine.empty()) {
       const PhysAddr addr = magazine.back();
       magazine.pop_back();
@@ -148,7 +151,7 @@ void KernelHeap::park_on_magazine(PhysAddr addr, Block& block) {
   const std::size_t cls = class_for(block.capacity);
   if (cls < kSizeClasses.size() && owns_cpu(block.owner_cpu)) {
     block.state = BlockState::parked;
-    magazines_[block.owner_cpu][cls].push_back(addr);
+    slot(block.owner_cpu).magazines[cls].push_back(addr);
     ++stats_.slab_recycles;
   } else {
     // Returned to the host: the partition's byte budget frees up (the
@@ -188,19 +191,19 @@ Status KernelHeap::kfree(PhysAddr addr, int cpu) {
   // PicoDriver extension: park the block on the owner core's remote queue,
   // tagged with the freeing CPU's socket so the drain can batch per source.
   it->second.state = BlockState::queued;
-  remote_free_queues_[it->second.owner_cpu].push_back(
-      RemoteFree{addr, topo_.socket_of(cpu)});
+  slot(it->second.owner_cpu).remote_frees.push_back(RemoteFree{addr, topo_.socket_of(cpu)});
+  ++queued_remote_frees_;
   ++stats_.remote_frees;
   return Status::success();
 }
 
 std::size_t KernelHeap::drain_remote_frees(int cpu) {
-  auto qit = remote_free_queues_.find(cpu);
-  if (qit == remote_free_queues_.end() || qit->second.empty()) return 0;
+  if (!owns_cpu(cpu)) return 0;
+  std::vector<RemoteFree>& pending = slot(cpu).remote_frees;
+  if (pending.empty()) return 0;
   // Recycle every queued block, then clear. Nothing re-enters the queue
-  // while parking, and clear() keeps the deque's chunk — so the
+  // while parking, and clear() keeps the vector's capacity — so the
   // steady-state free/drain cycle never touches the host heap.
-  std::deque<RemoteFree>& pending = qit->second;
   std::size_t drained = 0;
   const int owner_socket = topo_.socket_of(cpu);
   auto reclaim = [&](const RemoteFree& rf) {
@@ -221,15 +224,24 @@ std::size_t KernelHeap::drain_remote_frees(int cpu) {
       if (rf.source_socket == s && reclaim(rf)) any = true;
     if (any && s != owner_socket) ++stats_.cross_socket_drains;
   }
+  queued_remote_frees_ -= pending.size();
   pending.clear();
+  return drained;
+}
+
+std::size_t KernelHeap::drain_remote_frees() {
+  std::size_t drained = 0;
+  for (std::size_t i = 0; i < owned_cpus_.size() && queued_remote_frees_ > 0; ++i)
+    drained += drain_remote_frees(owned_cpus_[i]);
   return drained;
 }
 
 Status KernelHeap::adopt_cpu(int cpu) {
   if (cpu < 0 || owns_cpu(cpu)) return Errno::einval;
-  owned_cpus_.push_back(cpu);
-  std::sort(owned_cpus_.begin(), owned_cpus_.end());
-  magazines_[cpu];  // empty magazine set, like a boot-time core
+  owned_cpus_.insert(std::upper_bound(owned_cpus_.begin(), owned_cpus_.end(), cpu), cpu);
+  if (static_cast<std::size_t>(cpu) >= per_cpu_.size())
+    per_cpu_.resize(static_cast<std::size_t>(cpu) + 1);
+  slot(cpu).owned = true;  // empty magazines and queue, like a boot-time core
   ++stats_.cpu_adoptions;
   return Status::success();
 }
@@ -259,18 +271,16 @@ Status KernelHeap::release_cpu(int cpu, std::size_t* drained_out) {
         break;
       }
   // Donate the parked magazines class by class.
-  if (auto mit = magazines_.find(cpu); mit != magazines_.end()) {
-    for (std::size_t cls = 0; cls < kSizeClasses.size(); ++cls) {
-      auto& from = mit->second[cls];
-      for (const PhysAddr addr : from) {
-        blocks_[addr].owner_cpu = heir;
-        ++stats_.rehomed_blocks;
-      }
-      auto& to = magazines_[heir][cls];
-      to.insert(to.end(), from.begin(), from.end());
-      from.clear();
+  PerCpu& leaving = slot(cpu);
+  for (std::size_t cls = 0; cls < kSizeClasses.size(); ++cls) {
+    auto& from = leaving.magazines[cls];
+    for (const PhysAddr addr : from) {
+      blocks_[addr].owner_cpu = heir;
+      ++stats_.rehomed_blocks;
     }
-    magazines_.erase(cpu);
+    auto& to = slot(heir).magazines[cls];
+    to.insert(to.end(), from.begin(), from.end());
+    from.clear();
   }
   // Live (and still-queued) blocks the core owns re-home too: an SDMA
   // completion freeing them later must find a queue somebody drains.
@@ -279,8 +289,8 @@ Status KernelHeap::release_cpu(int cpu, std::size_t* drained_out) {
       block.owner_cpu = heir;
       ++stats_.rehomed_blocks;
     }
-  remote_free_queues_.erase(cpu);  // drained above; drop the empty deque
-  owned_cpus_.erase(std::find(owned_cpus_.begin(), owned_cpus_.end(), cpu));
+  leaving.owned = false;  // its queue was drained above
+  owned_cpus_.erase(std::lower_bound(owned_cpus_.begin(), owned_cpus_.end(), cpu));
   ++stats_.cpu_releases;
   return Status::success();
 }
@@ -294,15 +304,13 @@ std::span<std::uint8_t> KernelHeap::data(PhysAddr addr) {
 }
 
 std::size_t KernelHeap::remote_queue_depth(int cpu) const {
-  auto it = remote_free_queues_.find(cpu);
-  return it == remote_free_queues_.end() ? 0 : it->second.size();
+  return owns_cpu(cpu) ? slot(cpu).remote_frees.size() : 0;
 }
 
 std::size_t KernelHeap::magazine_depth(int cpu) const {
-  auto it = magazines_.find(cpu);
-  if (it == magazines_.end()) return 0;
+  if (!owns_cpu(cpu)) return 0;
   std::size_t total = 0;
-  for (const auto& list : it->second) total += list.size();
+  for (const auto& list : slot(cpu).magazines) total += list.size();
   return total;
 }
 

@@ -7,6 +7,12 @@
 // would fail there; the PicoDriver extension detects the foreign CPU and
 // routes the block to a remote-free queue that the owning core drains.
 //
+// The heap is the one record of which CPUs its kernel owns: an ascending
+// owned-CPU list, plus one per-CPU entry indexed by CPU id that holds the
+// core's size-class magazines and its remote-free queue. The owning
+// kernel's CPU set (McKernel::cpus, LinuxKernel::service_cpu_count) and
+// its heap counts (stats()) are read from here and kept nowhere else.
+//
 // Steady-state fast-path allocations (the 192-byte completion metadata per
 // SDMA send) are served from per-core size-class free lists: a block freed
 // on its owner core — or drained from the remote queue — parks on the
@@ -22,7 +28,8 @@
 // partitions before giving up). The drain side batches the remote-free
 // queue per source socket: one pass per socket, so a queue full of
 // Linux-side completion frees costs one cross-socket reclaim event per
-// source socket instead of one per block.
+// source socket instead of one per block. A heap-wide count of queued
+// blocks lets the whole-heap drain return at once when nothing is queued.
 //
 // Every block moves through an explicit free-path state machine,
 // live → queued → parked: a block foreign-freed onto the remote queue is
@@ -38,8 +45,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -114,11 +119,15 @@ class KernelHeap {
   /// already queued for (or reclaimed by) a drain is a double free: EINVAL.
   Status kfree(PhysAddr addr, int cpu);
 
-  /// Drain this core's remote-free queue (the owning kernel calls this
-  /// periodically, e.g. on its scheduler tick). The queue is recycled in
-  /// one batch per source socket and every block lands back on its owner's
+  /// Drain this core's remote-free queue. The queue is recycled in one
+  /// batch per source socket and every block lands back on its owner's
   /// magazine. Returns blocks reclaimed.
   std::size_t drain_remote_frees(int cpu);
+  /// Drain every owned core's queue, in ascending CPU order (the owning
+  /// kernel calls this on its scheduler tick; the PicoDriver piggybacks it
+  /// on fast-path entry). Stops as soon as nothing is queued, so the common
+  /// empty case costs one comparison. Returns blocks reclaimed.
+  std::size_t drain_remote_frees();
 
   /// --- elastic CPU ownership (§8.7) ---------------------------------------
   /// Add `cpu` to the owned set at runtime (a core handed to this kernel).
@@ -140,6 +149,8 @@ class KernelHeap {
   std::span<std::uint8_t> data(PhysAddr addr);
 
   bool owns_cpu(int cpu) const;
+  /// The owned CPUs, ascending.
+  const std::vector<int>& owned_cpus() const { return owned_cpus_; }
   std::size_t remote_queue_depth(int cpu) const;
   const Stats& stats() const { return stats_; }
   std::size_t live_blocks() const { return live_blocks_; }
@@ -171,6 +182,14 @@ class KernelHeap {
     int source_socket;  // socket of the CPU that called kfree
   };
 
+  /// A CPU's allocator state. Entries of CPUs the heap does not own (or
+  /// has released) are empty.
+  struct PerCpu {
+    bool owned = false;
+    std::array<std::vector<PhysAddr>, kSizeClasses.size()> magazines;
+    std::vector<RemoteFree> remote_frees;  // awaiting this core's drain
+  };
+
   /// One partition's bump allocator over its address slice.
   struct Arena {
     PhysAddr next = 0;
@@ -185,7 +204,13 @@ class KernelHeap {
   Result<PhysAddr> carve(std::uint64_t capacity, int cpu, int* socket_out, bool* near_out);
   bool carve_from(Arena& arena, std::uint64_t budget, std::uint64_t capacity, PhysAddr* out);
 
-  std::vector<int> owned_cpus_;
+  /// The entry of a `cpu` inside the table (any owned CPU is).
+  PerCpu& slot(int cpu) { return per_cpu_[static_cast<std::size_t>(cpu)]; }
+  const PerCpu& slot(int cpu) const { return per_cpu_[static_cast<std::size_t>(cpu)]; }
+
+  std::vector<int> owned_cpus_;  // ascending
+  std::vector<PerCpu> per_cpu_;  // indexed by CPU id
+  std::size_t queued_remote_frees_ = 0;  // over every core's queue
   ForeignFreePolicy policy_;
   NumaTopology topo_;
   PartitionBudget budget_;
@@ -194,9 +219,6 @@ class KernelHeap {
   std::vector<Arena> near_arenas_;  // one per socket
   std::vector<Arena> far_arenas_;
   std::unordered_map<PhysAddr, Block> blocks_;
-  // Per owned CPU: one free-list magazine per size class.
-  std::unordered_map<int, std::array<std::vector<PhysAddr>, kSizeClasses.size()>> magazines_;
-  std::map<int, std::deque<RemoteFree>> remote_free_queues_;  // keyed by owner cpu
   Stats stats_;
 };
 

@@ -79,14 +79,6 @@ const char* MpiWorld::bcast_algo(std::uint64_t bytes) const {
   return "binomial";
 }
 
-const char* MpiWorld::reduce_algo(std::uint64_t bytes) const {
-  const CollectiveTuning& t = opts_.tuning;
-  if (!t.force_reduce.empty()) return t.force_reduce.c_str();
-  if (size() >= t.reduce_chain_min_ranks && bytes >= t.reduce_chain_bytes)
-    return "chain";
-  return "binomial";
-}
-
 const char* MpiWorld::alltoall_algo(std::uint64_t bytes_per_pair,
                                     std::uint64_t sdma_threshold) const {
   const CollectiveTuning& t = opts_.tuning;
@@ -550,12 +542,6 @@ sim::Task<> Rank::allgather_impl(std::uint64_t bytes_per_rank) {
   }
 }
 
-sim::Task<> Rank::allgather(std::uint64_t bytes_per_rank) {
-  const Time t0 = world_.cluster_.engine().now();
-  co_await allgather_impl(bytes_per_rank);
-  stats_.record("Allgather", world_.cluster_.engine().now() - t0);
-}
-
 sim::Task<> Rank::bcast_impl(int root, std::uint64_t bytes) {
   ++coll_seq_;
   const int rpn = world_.opts_.ranks_per_node;
@@ -613,66 +599,6 @@ sim::Task<> Rank::bcast(int root, std::uint64_t bytes) {
   stats_.record_algo("Bcast", world_.bcast_algo(bytes));
   co_await bcast_impl(root, bytes);
   stats_.record("Bcast", world_.cluster_.engine().now() - t0);
-}
-
-/// Flat binomial reduce toward `root` (the seed's textbook shape).
-sim::Task<> Rank::binomial_reduce(int root, std::uint64_t bytes) {
-  const int P = world_.size();
-  const int vrank = (id_ - root % P + P) % P;
-  int mask = 1;
-  while (mask < P) {
-    if ((vrank & mask) == 0) {
-      if (vrank + mask < P) {
-        const int src = (id_ + mask) % P;
-        MpiReq r = post_recv(src, coll_tag(0), bytes);
-        co_await await_req(std::move(r));
-      }
-    } else {
-      const int dst = (id_ - mask + P) % P;
-      MpiReq s = post_send(dst, coll_tag(0), bytes);
-      co_await await_req(std::move(s));
-      break;
-    }
-    mask <<= 1;
-  }
-}
-
-/// Pipelined-chain reduce toward `root`: partial sums stream root-ward in
-/// segments down the vrank chain (vrank P-1 … 0), so rank v combines
-/// segment s while v+1 is already forwarding s+1.
-sim::Task<> Rank::chain_reduce(int root, std::uint64_t bytes) {
-  const int P = world_.size();
-  if (P < 2) co_return;
-  const int vrank = (id_ - root % P + P) % P;
-  const int toward_root = (id_ - 1 + P) % P;  // vrank - 1
-  const int from_leaf = (id_ + 1) % P;        // vrank + 1
-  const std::uint64_t seg = std::max<std::uint64_t>(
-      1, std::min(world_.opts_.tuning.chain_segment_bytes, bytes));
-  const std::uint64_t nseg = (bytes + seg - 1) / seg;
-  for (std::uint64_t s = 0; s < nseg; ++s) {
-    const std::uint64_t len = std::min(seg, bytes - s * seg);
-    const int tag = coll_tag(32 + static_cast<int>(s % 14));
-    if (vrank + 1 < P) {
-      MpiReq r = post_recv(from_leaf, tag, len);
-      co_await await_req(std::move(r));
-    }
-    if (vrank > 0) {
-      MpiReq snd = post_send(toward_root, tag, len);
-      co_await await_req(std::move(snd));
-    }
-  }
-}
-
-sim::Task<> Rank::reduce(int root, std::uint64_t bytes) {
-  const Time t0 = world_.cluster_.engine().now();
-  ++coll_seq_;
-  const char* algo = world_.reduce_algo(bytes);
-  stats_.record_algo("Reduce", algo);
-  if (std::strcmp(algo, "chain") == 0)
-    co_await chain_reduce(root, bytes);
-  else
-    co_await binomial_reduce(root, bytes);
-  stats_.record("Reduce", world_.cluster_.engine().now() - t0);
 }
 
 sim::Task<> Rank::alltoall_impl(const std::vector<int>& members,

@@ -6,8 +6,8 @@
 // Collectives are hierarchical (shared memory within the node, only node
 // leaders on the fabric) and — like a real MPI — *algorithm-selected* by a
 // size/rank-count crossover (`CollectiveTuning`): allreduce switches
-// dissemination → recursive doubling → ring as payloads grow, bcast and
-// reduce switch binomial tree → pipelined chain, and alltoall switches
+// dissemination → recursive doubling → ring as payloads grow, bcast
+// switches binomial tree → pipelined chain, and alltoall switches
 // spread (post-everything) → pairwise rounds. What matters for the
 // reproduction is the *message pattern and sizes* each algorithm generates,
 // which drive the protocol selection in PSM and from there the per-OS-mode
@@ -46,10 +46,7 @@ struct CollectiveTuning {
   // give the pipeline depth to hide the chain's O(N) latency.
   std::uint64_t bcast_chain_bytes = 1ull << 20;
   int bcast_chain_min_leaders = 8;
-  // Reduce (flat): binomial below, pipelined chain at/above.
-  std::uint64_t reduce_chain_bytes = 1ull << 20;
-  int reduce_chain_min_ranks = 8;
-  // Chain pipelining grain for bcast/reduce.
+  // Chain pipelining grain for bcast.
   std::uint64_t chain_segment_bytes = 64ull << 10;
   // Alltoall: per-pair payloads <= this use spread (post everything, then
   // drain); larger use pairwise sendrecv rounds that bound rendezvous
@@ -59,7 +56,6 @@ struct CollectiveTuning {
   // "binomial" | "chain", "spread" | "pairwise".
   std::string force_allreduce;
   std::string force_bcast;
-  std::string force_reduce;
   std::string force_alltoall;
 };
 
@@ -130,9 +126,7 @@ class Rank {
 
   sim::Task<> barrier();
   sim::Task<> allreduce(std::uint64_t bytes);
-  sim::Task<> reduce(int root, std::uint64_t bytes);
   sim::Task<> bcast(int root, std::uint64_t bytes);
-  sim::Task<> allgather(std::uint64_t bytes_per_rank);
   /// Full personalized exchange: every rank sends `bytes_per_pair` to every
   /// other rank (MPI_Alltoall; the FFT-transpose pattern).
   sim::Task<> alltoall(std::uint64_t bytes_per_pair);
@@ -185,8 +179,6 @@ class Rank {
   sim::Task<> leader_recursive_doubling(std::uint64_t bytes);
   sim::Task<> leader_ring_allreduce(std::uint64_t bytes);
   sim::Task<> leader_chain_bcast(int root_node, std::uint64_t bytes);
-  sim::Task<> chain_reduce(int root, std::uint64_t bytes);
-  sim::Task<> binomial_reduce(int root, std::uint64_t bytes);
 
   mem::VirtAddr send_slot(std::uint64_t bytes);
   mem::VirtAddr recv_slot(std::uint64_t bytes);
@@ -237,7 +229,6 @@ class MpiWorld {
   /// intended algorithm was picked.
   const char* allreduce_algo(std::uint64_t bytes) const;
   const char* bcast_algo(std::uint64_t bytes) const;
-  const char* reduce_algo(std::uint64_t bytes) const;
   const char* alltoall_algo(std::uint64_t bytes_per_pair,
                             std::uint64_t sdma_threshold) const;
 

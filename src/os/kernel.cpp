@@ -50,10 +50,12 @@ LinuxKernel::LinuxKernel(sim::Engine& engine, const Config& cfg, int node)
                                                0x9E3779B97F4A7C15ull)) {
   service_cpus_ = std::make_unique<sim::Resource>(
       engine, static_cast<std::size_t>(cfg.linux_service_cpus));
-  // Linux owns the service CPUs (ids 0 .. linux_service_cpus-1). Like the
-  // LWK heap, the Linux kheap is NUMA-aware: the topology spans the whole
-  // node so service-loop allocations land on the serving CPU's socket and
-  // cross-kernel frees carry their true source socket.
+  // Linux owns the service CPUs (ids 0 .. linux_service_cpus-1); the
+  // kheap's owned set is the service set. Its topology spans the whole
+  // node, but every Linux-heap kmalloc and kfree passes the driver's
+  // alloc_cpu() — CPU 0 for both drivers — so its blocks are carved on
+  // socket 0, and no foreign CPU frees one (its remote-free queues stay
+  // empty).
   std::vector<int> cpus;
   for (int i = 0; i < cfg.linux_service_cpus; ++i) cpus.push_back(i);
   const mem::NumaTopology topo =
@@ -62,28 +64,25 @@ LinuxKernel::LinuxKernel(sim::Engine& engine, const Config& cfg, int node)
       std::move(cpus), mem::ForeignFreePolicy::remote_queue, topo,
       mem::PartitionBudget{cfg.kheap_near_bytes, cfg.kheap_far_bytes},
       /*heap_base=*/0x0000'00F8'0000'0000ull);
-  service_cpu_count_ = cfg.linux_service_cpus;
 }
 
 Status LinuxKernel::adopt_service_cpu(int cpu) {
   // The service set stays the prefix [0, count): the transport's loop l
   // runs on service CPU l, so cores join and leave at the top only.
-  if (cpu != service_cpu_count_) return Errno::einval;
+  if (cpu != service_cpu_count()) return Errno::einval;
   if (const Status s = kheap_->adopt_cpu(cpu); !s.ok()) return s;
   service_cpus_->grow(1);
-  ++service_cpu_count_;
   return Status::success();
 }
 
 Status LinuxKernel::yield_service_cpu(int cpu) {
-  if (service_cpu_count_ <= 1) return Errno::ebusy;
-  if (cpu != service_cpu_count_ - 1) return Errno::einval;
+  if (service_cpu_count() <= 1) return Errno::ebusy;
+  if (cpu != service_cpu_count() - 1) return Errno::einval;
   if (const Status s = kheap_->release_cpu(cpu); !s.ok()) return s;
   service_cpus_->shrink(1);
-  --service_cpu_count_;
   // IRQ rotation must stay inside the shrunk pool.
-  next_irq_cpu_ %= service_cpu_count_;
-  if (current_irq_cpu_ >= service_cpu_count_) current_irq_cpu_ = 0;
+  next_irq_cpu_ %= service_cpu_count();
+  if (current_irq_cpu_ >= service_cpu_count()) current_irq_cpu_ = 0;
   return Status::success();
 }
 
@@ -137,7 +136,7 @@ sim::Task<> LinuxKernel::irq_task(std::vector<KernelCallback> callbacks) {
   // current_irq_cpu() is stable for the whole callback chain even with
   // several IRQ tasks interleaving.
   current_irq_cpu_ = next_irq_cpu_;
-  next_irq_cpu_ = (next_irq_cpu_ + 1) % service_cpu_count_;
+  next_irq_cpu_ = (next_irq_cpu_ + 1) % service_cpu_count();
   for (const auto& cb : callbacks) (void)invoke(cb);
   service_cpus_->release();
 }

@@ -94,8 +94,9 @@ class LinuxKernel : public Kernel {
   sim::Resource& service_cpus() { return *service_cpus_; }
 
   /// Service CPUs currently owned (boot `linux_service_cpus`, moved by the
-  /// elastic PartitionController). Always the prefix [0, count).
-  int service_cpu_count() const { return service_cpu_count_; }
+  /// elastic PartitionController): the Linux kheap's owned set, always the
+  /// prefix [0, count).
+  int service_cpu_count() const { return static_cast<int>(kheap_->owned_cpus().size()); }
   /// Adopt `cpu` into the service pool at runtime (a core the LWK handed
   /// back): the Resource gains a unit, the Linux kheap adopts the core, and
   /// IRQ rotation covers it. `cpu` must extend the prefix (== count).
@@ -146,7 +147,6 @@ class LinuxKernel : public Kernel {
   std::uint64_t irqs_handled_ = 0;
   int current_irq_cpu_ = 0;
   int next_irq_cpu_ = 0;
-  int service_cpu_count_ = 0;
 };
 
 }  // namespace pd::os

@@ -7,6 +7,10 @@
 // IHK. The fast-path registry is deliberately tiny: a device maps to a
 // writev handler, an ioctl handler and a predicate saying *which* ioctl
 // commands the LWK handles (three TID commands out of a dozen, §2.2.2).
+//
+// The LWK's CPU set lives in its kernel heap (§3.3's per-core allocator):
+// cpus() reads the heap's owned set, adopt_cpu/yield_cpu move a core in
+// and out of it, and the heap's counts are read from kheap().stats().
 #pragma once
 
 #include <cstdint>
@@ -47,34 +51,22 @@ class McKernel : public Kernel {
   std::string spinlock_abi() const { return "ticket-spinlock-x86_64-v2"; }
   mem::KernelHeap& kheap() { return *kheap_; }
 
-  /// Scheduler-tick housekeeping: drain remote-free queues for LWK cores,
-  /// one per-source-socket batch at a time; cross-socket reclaim events
-  /// land on the profiler as "lwk.kheap.cross_socket_drain".
-  std::size_t drain_remote_frees();
-
-  /// Publish kheap placement outcomes accumulated since `before` as
-  /// profiler counters ("lwk.kheap.{near_alloc,far_alloc,
-  /// partition_exhausted}"); call sites snapshot stats() around kmalloc.
-  void note_kheap_placement(const mem::KernelHeap::Stats& before);
-
-  /// CPU ids the LWK owns (app cores).
-  const std::vector<int>& cpus() const { return cpus_; }
+  /// CPU ids the LWK owns (app cores), ascending: the heap's owned set.
+  const std::vector<int>& cpus() const { return kheap_->owned_cpus(); }
 
   /// --- elastic repartitioning (§8.7) --------------------------------------
   /// Adopt `cpu` at runtime (a Linux service core retired into the LWK):
-  /// joins the scheduled set and the kheap's owned set. EINVAL when already
-  /// owned.
+  /// it joins the kheap's owned set. EINVAL when already owned.
   Status adopt_cpu(int cpu);
   /// Yield `cpu` back to Linux: the kheap drains its remote-free queue,
   /// donates its magazines and re-homes its blocks, then the core leaves
-  /// the scheduled set. EINVAL when not owned, EBUSY when it is the last
-  /// LWK core.
+  /// the owned set. EINVAL when not owned, EBUSY when it is the last LWK
+  /// core.
   Status yield_cpu(int cpu);
 
  private:
   Ihk& ihk_;
   bool unified_;
-  std::vector<int> cpus_;
   std::unique_ptr<mem::KernelHeap> kheap_;
   std::map<const CharDevice*, FastPathOps> fastpaths_;
 };

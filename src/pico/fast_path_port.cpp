@@ -122,19 +122,6 @@ void FastPathPort::count_ring_full_fallback() {
   mck_.profiler().bump("pico.ring_full_fallback");
 }
 
-Result<mem::PhysAddr> FastPathPort::kmalloc_meta(std::size_t bytes, int cpu) {
-  // Steady state this is an O(1) pop off the core's slab magazine; a cold
-  // refill carves from the core's near partition (placement outcomes land
-  // on the profiler as lwk.kheap.{near_alloc,far_alloc,partition_exhausted}).
-  const mem::KernelHeap::Stats stats_before = mck_.kheap().stats();
-  auto meta = mck_.kheap().kmalloc(bytes, cpu);
-  if (!meta.ok()) return meta.error();
-  if (mck_.kheap().stats().slab_reuses != stats_before.slab_reuses)
-    mck_.profiler().bump("lwk.kheap.slab_reuse");
-  mck_.note_kheap_placement(stats_before);
-  return meta;
-}
-
 os::KernelCallback FastPathPort::remote_free_cleanup(mem::PhysAddr meta_addr) {
   os::McKernel* mck = &mck_;
   os::LinuxKernel* lnx = &binding_.linux_kernel();

@@ -4,10 +4,10 @@
 // to do with SDMA: the bind-and-ABI-check entry flow, registration of
 // fast-path ops with the LWK, per-open-file extent caches with a per-process
 // quota and pin-aware LRU eviction, the remote-free drain piggybacked on
-// fast-path entry, slab-magazine completion metadata, the duplicated-text
-// cleanup callback that frees LWK memory from a Linux IRQ, and the
-// "pico.*" profiler counter namespace. The second device class (pd-doom)
-// needs every one of them, so they live here and both drivers inherit:
+// fast-path entry, the duplicated-text cleanup callback that frees LWK
+// completion metadata from a Linux IRQ, and the "pico.*" profiler counter
+// namespace. The second device class (pd-doom) needs every one of them, so
+// they live here and both drivers inherit:
 //
 //   HfiPicoDriver  : public FastPathPort  — fast writev + TID ioctls
 //   DoomPicoDriver : public FastPathPort  — fast batched submit ioctl
@@ -113,7 +113,7 @@ class FastPathPort {
 
   /// Scheduler-tick housekeeping piggybacked on fast-path entry: reclaim
   /// blocks the Linux IRQ side queued for our cores.
-  void piggyback_drain() { mck_.drain_remote_frees(); }
+  void piggyback_drain() { mck_.kheap().drain_remote_frees(); }
 
   int lwk_cpu_for(const os::Process& proc) const;
 
@@ -128,9 +128,6 @@ class FastPathPort {
   void count_fallback() { ++fallbacks_; }
   void count_ring_full_fallback();
 
-  /// Completion metadata off the LWK heap's per-core slab magazines, with
-  /// the placement/reuse profiler notes every device reports identically.
-  Result<mem::PhysAddr> kmalloc_meta(std::size_t bytes, int cpu);
   /// The duplicated cleanup callback (§3.3): LWK TEXT, runs on a Linux IRQ
   /// CPU, frees the metadata through the remote-free queue.
   os::KernelCallback remote_free_cleanup(mem::PhysAddr meta_addr);

@@ -13,7 +13,7 @@
 //     through the remote-free queue.
 //
 // The device-independent machinery — extent caches and their quota, the
-// remote-free drain piggyback, slab-magazine metadata, fallback accounting,
+// remote-free drain piggyback and cleanup callback, fallback accounting,
 // the "pico.*" profiler namespace — lives in the FastPathPort base this
 // driver shares with the pd-doom port. What stays here is HFI-specific:
 // the extracted sdma/filedata accessors, descriptor building, the SDMA

@@ -261,7 +261,7 @@ TEST(Writev, RemoteFreeFlowsThroughQueue) {
   EXPECT_EQ(mck.kheap().stats().remote_frees, 1u);
   EXPECT_EQ(mck.kheap().stats().rejected_frees, 0u);
   // Next tick (or explicit drain) reclaims it.
-  mck.drain_remote_frees();
+  mck.kheap().drain_remote_frees();
   EXPECT_EQ(mck.kheap().stats().bytes_live, 0u);
 }
 
@@ -780,7 +780,6 @@ TEST(Writev, RepeatedBufferHitsExtentCacheAndReusesSlab) {
   // Sends 2-5 each reclaim the previous completion's 192-byte metadata
   // from the remote-free queue and pop it straight off the slab magazine.
   EXPECT_GE(node.mck->kheap().stats().slab_reuses, 4u);
-  EXPECT_GE(prof.counter("lwk.kheap.slab_reuse"), 4u);
   EXPECT_EQ(completions, 5);
 }
 

@@ -382,6 +382,38 @@ TEST(Extract, PointerFieldsRenderForwardDecls) {
   EXPECT_NE(header->find("struct page **pages;"), std::string::npos);
 }
 
+// A struct or union held by value (directly or as an array element) gets
+// one complete definition of its DWARF byte size, so the field compiles;
+// one reached only through a pointer stays a forward declaration.
+TEST(Extract, ByValueFieldsRenderCompleteTypes) {
+  InfoBuilder b;
+  const TypeRef u32 = b.add_base_type("unsigned int", 4, DW_ATE_unsigned);
+  const TypeRef u64 = b.add_base_type("long unsigned int", 8, DW_ATE_unsigned);
+  const TypeRef word = b.add_union("sdma_word", 8, {{"lo", u32, 0}, {"whole", u64, 0}});
+  const TypeRef engine_ptr = b.add_pointer(b.forward_struct("sdma_engine"));
+  b.add_struct("sdma_txreq", 40,
+               {{"engine", engine_ptr, 0},
+                {"word", word, 8},
+                {"words", b.add_array(word, 2), 16},
+                {"next_word", b.add_pointer(word), 32}});
+  const DebugInfo dbg = b.build("p", "m");
+  auto view = DebugInfoView::parse(dbg.abbrev, dbg.info);
+  ASSERT_TRUE(view.ok());
+  auto header =
+      extract_struct_header(*view, "sdma_txreq", {"engine", "word", "words", "next_word"});
+  ASSERT_TRUE(header.ok());
+  const std::string definition = "union sdma_word {\n\tchar whole_struct[8];\n};\n";
+  const std::size_t at = header->find(definition);
+  ASSERT_NE(at, std::string::npos) << *header;
+  EXPECT_EQ(header->find("union sdma_word", at + 1), header->find("union sdma_word word;"))
+      << "defined once, and not forward-declared after\n" << *header;
+  EXPECT_LT(at, header->find("struct sdma_txreq {"));
+  EXPECT_NE(header->find("struct sdma_engine;"), std::string::npos);
+  EXPECT_EQ(header->find("struct sdma_engine {"), std::string::npos);
+  EXPECT_NE(header->find("union sdma_word words[2];"), std::string::npos);
+  EXPECT_NE(header->find("union sdma_word *next_word;"), std::string::npos);
+}
+
 TEST(Extract, FieldAccessorReadsAtExtractedOffset) {
   const DebugInfo dbg = small_builder().build("p", "m");
   auto view = DebugInfoView::parse(dbg.abbrev, dbg.info);

@@ -169,29 +169,9 @@ std::vector<Traffic> ref_binomial_bcast(int P, std::uint64_t bytes) {
   return t;
 }
 
-std::vector<Traffic> ref_binomial_reduce(int P, std::uint64_t bytes) {
-  std::vector<Traffic> t(static_cast<std::size_t>(P));
-  for (int v = 0; v < P; ++v) {
-    Traffic& r = t[static_cast<std::size_t>(v)];
-    int mask = 1;
-    while (mask < P) {
-      if (v & mask) {
-        r.smsgs += 1;  // partial sum toward the root, then done
-        break;
-      }
-      if (v + mask < P) r.rmsgs += 1;
-      mask <<= 1;
-    }
-    r.sbytes = r.smsgs * bytes;
-    r.rbytes = r.rmsgs * bytes;
-  }
-  return t;
-}
-
-/// Pipelined chain (bcast: root streams down; reduce: leaves stream up).
-/// Every link carries the full payload once, in ceil(bytes/seg) segments.
-std::vector<Traffic> ref_chain(int P, std::uint64_t bytes, std::uint64_t seg_bytes,
-                               bool toward_root) {
+/// Pipelined chain bcast: the root streams down the chain, and every link
+/// carries the full payload once, in ceil(bytes/seg) segments.
+std::vector<Traffic> ref_chain(int P, std::uint64_t bytes, std::uint64_t seg_bytes) {
   std::vector<Traffic> t(static_cast<std::size_t>(P));
   if (P < 2) return t;
   const std::uint64_t seg =
@@ -199,12 +179,11 @@ std::vector<Traffic> ref_chain(int P, std::uint64_t bytes, std::uint64_t seg_byt
   const std::uint64_t nseg = (bytes + seg - 1) / seg;
   for (int v = 0; v < P; ++v) {
     Traffic& r = t[static_cast<std::size_t>(v)];
-    const bool has_prev = v > 0;        // link toward the root/head
-    const bool has_next = v + 1 < P;    // link toward the tail
-    const bool sends = toward_root ? has_prev : has_next;
-    const bool recvs = toward_root ? has_next : has_prev;
-    if (sends) r = {nseg, bytes, r.rmsgs, r.rbytes};
-    if (recvs) {
+    if (v + 1 < P) {  // link toward the tail
+      r.smsgs = nseg;
+      r.sbytes = bytes;
+    }
+    if (v > 0) {  // link from the head
       r.rmsgs = nseg;
       r.rbytes = bytes;
     }
@@ -275,30 +254,10 @@ TEST(CollectiveEquivalence, BcastAlgorithmsMatchTextbook) {
     tuning.chain_segment_bytes = 1 + rng.next_below(32_KiB);
     got = measure(P, tuning, [bytes](Rank& r) { return r.bcast(0, bytes); });
     expect_traffic_eq(
-        got, ref_chain(P, bytes, tuning.chain_segment_bytes, /*toward_root=*/false),
+        got, ref_chain(P, bytes, tuning.chain_segment_bytes),
         "bcast/chain P=" + std::to_string(P) + " seg=" +
             std::to_string(tuning.chain_segment_bytes),
         seed);
-  }
-}
-
-TEST(CollectiveEquivalence, ReduceAlgorithmsMatchTextbook) {
-  const std::uint64_t seed = harness_seed();
-  Rng rng(seed);
-  for (int P : world_shapes(rng)) {
-    const std::uint64_t bytes = 1 + rng.next_below(256_KiB);
-    CollectiveTuning tuning;
-    tuning.force_reduce = "binomial";
-    auto got = measure(P, tuning, [bytes](Rank& r) { return r.reduce(0, bytes); });
-    expect_traffic_eq(got, ref_binomial_reduce(P, bytes),
-                      "reduce/binomial P=" + std::to_string(P), seed);
-
-    tuning.force_reduce = "chain";
-    tuning.chain_segment_bytes = 1 + rng.next_below(32_KiB);
-    got = measure(P, tuning, [bytes](Rank& r) { return r.reduce(0, bytes); });
-    expect_traffic_eq(
-        got, ref_chain(P, bytes, tuning.chain_segment_bytes, /*toward_root=*/true),
-        "reduce/chain P=" + std::to_string(P), seed);
   }
 }
 
@@ -337,11 +296,9 @@ TEST(CollectiveCrossover, SelectionFunctionsHonorSizeAndShape) {
                "recursive_doubling");
   EXPECT_STREQ(world.allreduce_algo(t.allreduce_ring_bytes), "ring");
 
-  // Bcast / reduce: binomial until the payload fills a pipeline.
+  // Bcast: binomial until the payload fills a pipeline.
   EXPECT_STREQ(world.bcast_algo(64_KiB), "binomial");
   EXPECT_STREQ(world.bcast_algo(t.bcast_chain_bytes), "chain");
-  EXPECT_STREQ(world.reduce_algo(64_KiB), "binomial");
-  EXPECT_STREQ(world.reduce_algo(t.reduce_chain_bytes), "chain");
 
   // Alltoall: spread posts up to the SDMA threshold, pairwise beyond.
   EXPECT_STREQ(world.alltoall_algo(4_KiB, 64_KiB), "spread");
@@ -403,7 +360,6 @@ TEST(CollectiveCompletion, HierarchicalOddShapesCompleteUnderEveryAlgorithm) {
       wopts.buf_bytes = 8ull << 20;
       wopts.tuning.force_allreduce = algo;
       wopts.tuning.force_bcast = "chain";
-      wopts.tuning.force_reduce = "chain";
       MpiWorld world(cluster, wopts);
       int done = 0;
       const std::uint64_t bytes = 1 + rng.next_below(128_KiB);
@@ -411,7 +367,6 @@ TEST(CollectiveCompletion, HierarchicalOddShapesCompleteUnderEveryAlgorithm) {
         co_await rank.init();
         co_await rank.allreduce(bytes);
         co_await rank.bcast(1 % world.size(), bytes);
-        co_await rank.reduce(0, bytes);
         co_await rank.alltoall(1 + bytes / 16);
         co_await rank.barrier();
         co_await rank.finalize();

@@ -8,7 +8,8 @@
 // each owner's magazines should hold. Every drain must reclaim exactly the
 // blocks the script queued for that owner, and `cross_socket_drains` must
 // grow by the number of distinct remote source sockets among them — one
-// event per socket batch, never one per block. A slab-class kmalloc must
+// event per socket batch, never one per block. The heap-wide drain must
+// do the same for every owner at once. A slab-class kmalloc must
 // reuse a parked block exactly when the model says one is parked, and hand
 // back one of the model's addresses when it does. Ledgers and each live
 // block's byte pattern are checked against the model too.
@@ -90,8 +91,10 @@ class DrainOracleHarness {
         do_free(/*foreign=*/false);
       } else if (dice < 75) {
         do_double_free();
-      } else if (dice < 88) {
+      } else if (dice < 85) {
         do_drain(owner());
+      } else if (dice < 88) {
+        do_drain_all();
       } else {
         check_ledgers();
       }
@@ -99,7 +102,7 @@ class DrainOracleHarness {
     if (testing::Test::HasFatalFailure()) return;
     // Settle: free everything locally, drain every owner, final audit.
     while (!live_.empty()) do_free(/*foreign=*/false);
-    for (int cpu : kOwnerCpus) do_drain(cpu);
+    do_drain_all();
     check_ledgers();
     finish();
   }
@@ -193,11 +196,22 @@ class DrainOracleHarness {
     ++double_frees_;
   }
 
-  void do_drain(int cpu) {
-    std::vector<Block> mine;
+  /// The model's side of draining `cpu`, taken before the heap drains.
+  struct DrainPlan {
+    int cpu = -1;
+    std::vector<Block> blocks;        // the script queued these for `cpu`
+    std::size_t remote_sockets = 0;   // distinct remote source sockets among them
+    std::size_t slab_blocks = 0;      // those that park on a magazine
+    std::size_t depth_before = 0;     // the heap's magazine depth of `cpu`
+  };
+
+  /// Moves `cpu`'s queued blocks out of the model's queue into a plan.
+  DrainPlan plan_drain(int cpu) {
+    DrainPlan plan;
+    plan.cpu = cpu;
     for (std::size_t i = 0; i < queued_.size();) {
       if (queued_[i].owner_cpu == cpu) {
-        mine.push_back(queued_[i]);
+        plan.blocks.push_back(queued_[i]);
         queued_[i] = queued_.back();
         queued_.pop_back();
       } else {
@@ -205,24 +219,55 @@ class DrainOracleHarness {
       }
     }
     std::set<int> remote_sockets;
-    std::size_t slab_blocks = 0;
-    for (const Block& b : mine) {
+    for (const Block& b : plan.blocks) {
       if (b.source_socket != topo_.socket_of(cpu)) {
         remote_sockets.insert(b.source_socket);
         ++remote_blocks_drained_;
       }
-      if (size_class(b.size) < KernelHeap::kSizeClasses.size()) ++slab_blocks;
+      if (size_class(b.size) < KernelHeap::kSizeClasses.size()) ++plan.slab_blocks;
     }
-    ASSERT_EQ(heap_.remote_queue_depth(cpu), mine.size()) << reproducer();
+    plan.remote_sockets = remote_sockets.size();
+    plan.depth_before = heap_.magazine_depth(cpu);
+    return plan;
+  }
+
+  /// After the heap drained: the plan's blocks parked, its queue is empty.
+  void check_drained(const DrainPlan& plan) {
+    ASSERT_EQ(heap_.magazine_depth(plan.cpu) - plan.depth_before, plan.slab_blocks)
+        << reproducer();
+    ASSERT_EQ(heap_.remote_queue_depth(plan.cpu), 0u) << reproducer();
+    for (const Block& b : plan.blocks) retire(b);
+  }
+
+  void do_drain(int cpu) {
+    const DrainPlan plan = plan_drain(cpu);
+    ASSERT_EQ(heap_.remote_queue_depth(cpu), plan.blocks.size()) << reproducer();
     const KernelHeap::Stats before = heap_.stats();
-    const std::size_t depth_before = heap_.magazine_depth(cpu);
-    ASSERT_EQ(heap_.drain_remote_frees(cpu), mine.size()) << reproducer();
+    ASSERT_EQ(heap_.drain_remote_frees(cpu), plan.blocks.size()) << reproducer();
     const KernelHeap::Stats& after = heap_.stats();
-    ASSERT_EQ(after.cross_socket_drains - before.cross_socket_drains, remote_sockets.size())
+    ASSERT_EQ(after.cross_socket_drains - before.cross_socket_drains, plan.remote_sockets)
         << "one cross-socket event per remote source socket, not per block" << reproducer();
-    ASSERT_EQ(heap_.magazine_depth(cpu) - depth_before, slab_blocks) << reproducer();
-    ASSERT_EQ(heap_.remote_queue_depth(cpu), 0u) << reproducer();
-    for (const Block& b : mine) retire(b);
+    check_drained(plan);
+    ASSERT_EQ(after.bytes_live, bytes_live_) << reproducer();
+  }
+
+  // The heap-wide drain reclaims exactly every owner's queued blocks and
+  // pays one cross-socket event per (owner, remote source socket).
+  void do_drain_all() {
+    std::vector<DrainPlan> plans;
+    std::size_t blocks = 0;
+    std::size_t cross = 0;
+    for (int cpu : kOwnerCpus) {
+      plans.push_back(plan_drain(cpu));
+      ASSERT_EQ(heap_.remote_queue_depth(cpu), plans.back().blocks.size()) << reproducer();
+      blocks += plans.back().blocks.size();
+      cross += plans.back().remote_sockets;
+    }
+    const KernelHeap::Stats before = heap_.stats();
+    ASSERT_EQ(heap_.drain_remote_frees(), blocks) << reproducer();
+    const KernelHeap::Stats& after = heap_.stats();
+    ASSERT_EQ(after.cross_socket_drains - before.cross_socket_drains, cross) << reproducer();
+    for (const DrainPlan& plan : plans) check_drained(plan);
     ASSERT_EQ(after.bytes_live, bytes_live_) << reproducer();
   }
 
@@ -240,6 +285,7 @@ class DrainOracleHarness {
 
   void finish() {
     ASSERT_EQ(heap_.live_blocks(), 0u) << reproducer();
+    EXPECT_EQ(heap_.owned_cpus(), owners()) << reproducer();
     const KernelHeap::Stats& s = heap_.stats();
     EXPECT_GT(s.remote_frees, 500u) << "remote path barely exercised" << reproducer();
     // With unbounded budgets every cold allocation lands in its caller's
@@ -321,6 +367,25 @@ TEST(KheapNumaDrain, SameSocketForeignFreeIsNotCrossSocket) {
   ASSERT_TRUE(heap.kfree(*a, 6).ok());
   EXPECT_EQ(heap.drain_remote_frees(4), 1u);
   EXPECT_EQ(heap.stats().cross_socket_drains, 0u);
+}
+
+// The heap-wide drain with nothing queued reclaims and counts nothing, even
+// with blocks live and parked on a magazine.
+TEST(KheapNumaDrain, DrainAllWithNothingQueuedReturnsZero) {
+  const NumaTopology topo = NumaTopology::blocked(kTotalCpus, kSockets);
+  KernelHeap heap({4, 8}, ForeignFreePolicy::remote_queue, topo, PartitionBudget{});
+  EXPECT_EQ(heap.drain_remote_frees(), 0u);
+  auto live = heap.kmalloc(192, 4);
+  auto parked = heap.kmalloc(192, 8);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(parked.ok());
+  ASSERT_TRUE(heap.kfree(*parked, 8).ok());  // owner free: parked, not queued
+  const KernelHeap::Stats before = heap.stats();
+  EXPECT_EQ(heap.drain_remote_frees(), 0u);
+  EXPECT_EQ(heap.stats().cross_socket_drains, before.cross_socket_drains);
+  EXPECT_EQ(heap.stats().bytes_live, before.bytes_live);
+  EXPECT_EQ(heap.magazine_depth(8), 1u);
+  EXPECT_EQ(heap.live_blocks(), 1u);
 }
 
 // Partition capacity model: a starved near budget falls back to the home

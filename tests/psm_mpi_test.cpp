@@ -115,8 +115,6 @@ TEST(MpiRuntime, CollectivesCompleteOnAllModes) {
       co_await rank.barrier();
       co_await rank.allreduce(4096);
       co_await rank.bcast(0, 64_KiB);
-      co_await rank.reduce(0, 4096);
-      co_await rank.allgather(1024);
       co_await rank.scan(512);
       std::vector<int> everyone;
       for (int r = 0; r < 8; ++r) everyone.push_back(r);
@@ -126,9 +124,8 @@ TEST(MpiRuntime, CollectivesCompleteOnAllModes) {
       co_await rank.finalize();
     });
     auto table = world.stats_table();
-    for (const char* call : {"Barrier", "Allreduce", "Bcast", "Reduce", "Allgather",
-                             "Scan", "Alltoallv", "Cart_create", "Comm_create", "Init",
-                             "Finalize"}) {
+    for (const char* call : {"Barrier", "Allreduce", "Bcast", "Scan", "Alltoallv",
+                             "Cart_create", "Comm_create", "Init", "Finalize"}) {
       const auto* row = table.row(call);
       ASSERT_NE(row, nullptr) << call << " on " << to_string(mode);
       EXPECT_GT(row->time_ms, 0.0) << call;

@@ -18,7 +18,8 @@
 #     shared-library frames are skipped); `addr2line -f -C -i` expands each
 #     into its chain of inlined frames. A site is the first three frames of
 #     that expanded stack that are not library code (`std::` or
-#     `__gnu_cxx::`), printed allocating frame first.
+#     `__gnu_cxx::`), printed allocating frame first. Every recorded stack
+#     is named, and stacks that name the same site share one row.
 #
 # Workloads: umt_modes, umt_ikc_ring, qbox_churn. Build and benchmark output
 # goes to stderr; the shim's raw table stays in build-heap/heap.txt.
@@ -51,18 +52,20 @@ HEAP_TOP_OUT=$out/heap.txt LD_PRELOAD=$out/heap_shim.so \
   "$out/perfbench" --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 "$@" >&2
 [[ -s $out/heap.txt ]] || { echo "$0: the shim wrote no report" >&2; exit 1; }
 
-# Top 20 sites; one addr2line call names all their recorded frames (0 = no
-# frame), each as an address line and then a function and location line per
-# inlined frame, innermost first. awk, not head, ends the pipe: it reads to
-# the end, so sort never gets SIGPIPE (which pipefail would turn into a
-# failure).
-tail -n +2 "$out/heap.txt" | sort -k1,1nr | awk 'NR <= 20' > "$out/heap.top"
-awk '{ for (f = 3; f <= 5; ++f) if ($f != "0") print $f }' "$out/heap.top" |
+# Name every recorded stack before cutting to the top 20: stacks that
+# differ only in frames a site does not show (a different call site in the
+# same function, library frames) name the same site, and their bytes and
+# blocks are summed into one row. One addr2line call names every distinct
+# recorded frame (0 = no frame), in order of first appearance, each as an
+# address line and then a function and location line per inlined frame,
+# innermost first.
+awk 'NR > 1 { for (f = 3; f <= 5; ++f) if ($f != "0" && !seen[$f]++) print $f }' "$out/heap.txt" |
   addr2line -a -f -C -i -e "$out/perfbench" > "$out/heap.names"
 
 # A name keeps its class and function, not its return type, argument list
-# or template arguments; a coroutine body is `f [actor]`.
-awk -v peak_line="$(head -n 1 "$out/heap.txt")" '
+# or template arguments; a coroutine body is `f [actor]`. Writes one
+# "bytes<TAB>blocks<TAB>site" line per site.
+awk '
   function short(name,   tail, n, w) {
     if (name == "??") return "?"
     tail = ""
@@ -76,32 +79,44 @@ awk -v peak_line="$(head -n 1 "$out/heap.txt")" '
     sub(/operator#/, "operator()", name)
     return name tail
   }
-  # heap.names: frames[pc, i] is the i-th frame of the pc-th recorded
-  # address, innermost first.
+  # heap.names: frames[k, i] is the i-th frame of the k-th distinct
+  # recorded address, innermost first.
   NR == FNR {
     if ($0 ~ /^0x[0-9a-f]+$/) { ++pcs; name_next = 1 }
     else if (name_next) { frames[pcs, ++depth[pcs]] = $0; name_next = 0 }
     else name_next = 1
     next
   }
-  FNR == 1 {
-    split(peak_line, p, " ")
-    total = p[2]
-    printf "Peak live heap: %.1f MB in %d blocks\n\n", total / 1e6, p[3]
-    printf "%8s %6s %9s  %s\n", "MB", "%", "blocks", "site (allocating frame < caller < its caller)"
-  }
+  FNR == 1 { next }  # the peak line
   {
     site = ""
     kept = 0
     for (f = 3; f <= 5; ++f) {
       if ($f == "0") continue
-      ++pc
-      for (i = 1; i <= depth[pc] && kept < 3; ++i) {
-        name = short(frames[pc, i])
+      if (!($f in index_of)) index_of[$f] = ++seen
+      k = index_of[$f]
+      for (i = 1; i <= depth[k] && kept < 3; ++i) {
+        name = short(frames[k, i])
         if (name ~ /^(std|__gnu_cxx)::/) continue
         site = site (site == "" ? "" : " < ") name
         ++kept
       }
     }
-    printf "%8.2f %6.1f %9d  %s\n", $1 / 1e6, (total > 0 ? 100 * $1 / total : 0), $2, site
-  }' "$out/heap.names" "$out/heap.top"
+    bytes[site] += $1
+    blocks[site] += $2
+  }
+  END { for (site in bytes) printf "%.0f\t%.0f\t%s\n", bytes[site], blocks[site], site }
+' "$out/heap.names" "$out/heap.txt" > "$out/heap.sites"
+
+# Top 20 sites by live bytes (ties by name). awk, not head, ends the pipe:
+# it reads to the end, so sort never gets SIGPIPE (which pipefail would
+# turn into a failure).
+read -r _ total total_blocks < "$out/heap.txt"
+awk -v total="$total" -v blocks="$total_blocks" 'BEGIN {
+  printf "Peak live heap: %.1f MB in %d blocks\n\n", total / 1e6, blocks
+  printf "%8s %6s %9s  %s\n", "MB", "%", "blocks", "site (allocating frame < caller < its caller)"
+}'
+sort -t "$(printf '\t')" -k1,1nr -k3,3 "$out/heap.sites" |
+  awk -F '\t' -v total="$total" 'NR <= 20 {
+    printf "%8.2f %6.1f %9d  %s\n", $1 / 1e6, (total > 0 ? 100 * $1 / total : 0), $2, $3
+  }'

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Self-test of tools/heap_top.sh: profiles a 2-node, 4-rank-per-node
 # umt_ikc_ring run (one pass) and checks that the report shows a positive
-# peak live heap, at least one site in the simulator's own code, and no
-# site frame in library code (inlined std:: frames are named by their
-# owners).
+# peak live heap, at least one site in the simulator's own code, no site
+# frame in library code (inlined std:: frames are named by their owners),
+# and no site on two rows (stacks that name one site are summed).
 #
 #   tools/test_heap_top.sh
 set -euo pipefail
@@ -24,4 +24,6 @@ sites=$(awk '$1 ~ /^[0-9.]+$/ { $1 = $2 = $3 = ""; print }' <<<"$report")
 if grep -qE '(^ *|< )(std|__gnu_cxx)::' <<<"$sites"; then
   fail "a site names a library frame"
 fi
+dups=$(sort <<<"$sites" | uniq -d)
+[[ -z $dups ]] || fail "a site has more than one row:$dups"
 echo "test_heap_top: ok (peak $peak MB)"
